@@ -146,6 +146,14 @@ def from_bloch(v) -> np.ndarray:
     x, y, z = (float(c) for c in v)
     if math.sqrt(x * x + y * y + z * z) > 1.0 + EXACT_TOL:
         raise BlochOutOfBallError(f"Bloch vector ({x}, {y}, {z}) lies outside the unit ball")
+    return _bloch_state((x, y, z))
+
+
+def _bloch_state(v) -> np.ndarray:
+    """(I + x X + y Y + z Z) / 2 with no check of the norm, for results such
+    as a mean of Monte Carlo realizations that may sit a rounding error
+    outside the ball."""
+    x, y, z = (float(c) for c in v)
     return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 

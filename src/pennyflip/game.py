@@ -39,7 +39,7 @@ from .density import (
     purity,
     trace_distance,
 )
-from .rotations import RngStream, rotation_unitary, spin_eigenstates, unit_axis
+from .rotations import RngStream, rotation_unitary, unit_axis
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def _eigenstate_projector(f: np.ndarray) -> np.ndarray:
     s = float(np.linalg.norm(vec))
     if s < EXACT_TOL:
         return np.array(SPIN_UP)
-    beta_plus, _ = spin_eigenstates(vec / s)
-    return np.outer(beta_plus, beta_plus.conj())
+    # (I + sigma.n) / 2 projects on the +1 eigenvector of sigma.n
+    return from_bloch(vec / s)
 
 
 def initial_state_for(spec: ChannelSpec) -> np.ndarray:

@@ -20,10 +20,6 @@ import numpy as np
 
 from .density import _frozen
 
-# Switch to the spherical-angle eigenstate form this close to the z poles,
-# where the normalized-column form divides by ~0.
-POLE_EPS = 1e-9
-
 IDENTITY = _frozen([[1.0, 0.0], [0.0, 1.0]])
 PAULI_X = _frozen([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = _frozen([[0.0, -1.0j], [1.0j, 0.0]])
@@ -77,26 +73,27 @@ def rotation_unitary(axis, theta: float) -> np.ndarray:
 def spin_eigenstates(axis) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pair (beta_plus, beta_minus) with (sigma.n) beta = +/- beta.
 
-    Away from the z poles:
+    Each eigenvector is built from whichever of its two column forms divides
+    by the larger of 1 + nz and 1 - nz (never less than 1), so both stay
+    exact to rounding at and near the z poles:
 
-        beta_plus  = (1 + nz,  nx + i ny) / sqrt(2 (1 + nz))
-        beta_minus = (1 - nz, -(nx + i ny)) / sqrt(2 (1 - nz))
+        beta_plus  = (1 + nz, nx + i ny) / sqrt(2 (1 + nz))       nz >= 0
+                   = (nx - i ny, 1 - nz) / sqrt(2 (1 - nz))       nz < 0
+        beta_minus = (1 - nz, -(nx + i ny)) / sqrt(2 (1 - nz))    nz <= 0
+                   = (-(nx - i ny), 1 + nz) / sqrt(2 (1 + nz))    nz > 0
 
-    Within POLE_EPS of a pole the spherical-angle form
-    (cos(t/2), e^{i phi} sin(t/2)) takes over; the two forms agree exactly
-    where both are defined.
+    The two forms of one eigenvector differ by a global phase only.
     """
     nx, ny, nz = (float(c) for c in axis)
-    if 1.0 + nz < POLE_EPS or 1.0 - nz < POLE_EPS:
-        half = 0.5 * math.acos(max(-1.0, min(1.0, nz)))
-        phi = math.atan2(ny, nx)
-        ph = complex(math.cos(phi), math.sin(phi))
-        beta_plus = np.array([math.cos(half), ph * math.sin(half)], dtype=complex)
-        beta_minus = np.array([math.sin(half), -ph * math.cos(half)], dtype=complex)
-    else:
-        xy = complex(nx, ny)
+    xy = complex(nx, ny)
+    if nz >= 0.0:
         beta_plus = np.array([1.0 + nz, xy]) / math.sqrt(2.0 * (1.0 + nz))
+    else:
+        beta_plus = np.array([xy.conjugate(), 1.0 - nz]) / math.sqrt(2.0 * (1.0 - nz))
+    if nz <= 0.0:
         beta_minus = np.array([1.0 - nz, -xy]) / math.sqrt(2.0 * (1.0 - nz))
+    else:
+        beta_minus = np.array([-xy.conjugate(), 1.0 + nz]) / math.sqrt(2.0 * (1.0 + nz))
     return beta_plus, beta_minus
 
 

@@ -13,7 +13,7 @@ from pennyflip import cli
 
 GOLDEN_ODDS_CSV = (
     "case,strategy,q_win,odds\n"
-    "1,rotate or leave as is,0.9999999999999998,1:0\n"
+    "1,rotate or leave as is,1.0,1:0\n"
     "2,rotate 120 degrees about a random axis,0.5000000000000001,1:1\n"
     "3,measure along a random axis,0.6666666666666666,2:1\n"
 )

@@ -74,6 +74,11 @@ def require_unitary(f) -> np.ndarray:
     return f
 
 
+def _require_finite_angle(theta) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+
+
 @dataclass(frozen=True)
 class FixedRotation:
     """Rotate by theta about one fixed axis."""
@@ -83,6 +88,7 @@ class FixedRotation:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_axis(self.axis))
+        _require_finite_angle(self.theta)
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,9 @@ class RandomAxisRotation:
     """Rotate by theta about an axis drawn uniformly on the sphere."""
 
     theta: float
+
+    def __post_init__(self):
+        _require_finite_angle(self.theta)
 
 
 @dataclass(frozen=True)
@@ -225,8 +234,10 @@ def twirl_analytic(theta: float, rho: np.ndarray | None = None) -> np.ndarray:
         diag(cos^2(theta/2) + sin^2(theta/2)/3,  (2/3) sin^2(theta/2))
 
     Only the +z basis state has this diagonal form; pass anything else and a
-    ValueError points you at twirl_general.
+    ValueError points you at twirl_general.  A non-finite theta is a
+    ValueError too.
     """
+    _require_finite_angle(theta)
     if rho is not None:
         rho = validate_density(rho)
         if np.abs(rho - SPIN_UP).max() > EXACT_TOL:

@@ -27,7 +27,6 @@ from .channels import (
     FixedAxisMeasurement,
     FixedRotation,
     Iterated,
-    RandomAxisRotation,
     RandomBasisMeasurement,
     apply_channel,
     iterated_mc_curve,
@@ -40,8 +39,8 @@ from .density import (
     decompose_polarized,
     entropy,
     purity,
-    validate_density,
 )
+from .game import MAX_SCAN_STEPS
 from .game import angle_scan, default_strategies, initial_state_for, outcome_from_state, play_game
 from .rotations import RngStream, unit_axis
 
@@ -109,9 +108,7 @@ def matrix_to_pairs(m) -> list:
 
 def pairs_to_matrix(pairs) -> np.ndarray:
     """Inverse of matrix_to_pairs."""
-    return np.array(
-        [[complex(e[0], e[1]) for e in row] for row in pairs], dtype=complex
-    )
+    return np.array([[complex(e[0], e[1]) for e in row] for row in pairs], dtype=complex)
 
 
 def parse_axis(text: str):
@@ -153,18 +150,28 @@ def _config_dict(config: RunConfig, **extras) -> dict:
 
 
 def _flat_matrix_cells(m) -> list[float]:
-    m = np.asarray(m, dtype=complex)
-    cells: list[float] = []
-    for row in m:
-        for e in row:
-            cells.extend((float(e.real), float(e.imag)))
-    return cells
+    return [part for row in matrix_to_pairs(m) for pair in row for part in pair]
 
 
 _MATRIX_HEADER = [
     "m00_re", "m00_im", "m01_re", "m01_im",
     "m10_re", "m10_im", "m11_re", "m11_im",
 ]
+
+
+def _mc_stream(config: RunConfig, stream_index: int = 0) -> dict:
+    """Sample count, shards and stream (seed, stream_index) of an estimate."""
+    rng = RngStream(config.seed, stream_index)
+    return {"samples": config.samples, "rng": rng, "shards": config.shards}
+
+
+def _from_spin_up(config: RunConfig, spec) -> tuple[np.ndarray, float | None]:
+    """spec applied to the +z basis state: the exact state and None, or in mc
+    mode the estimate's mean and std_error."""
+    if config.mode != "mc":
+        return apply_channel(spec, SPIN_UP), None
+    est = apply_channel(spec, SPIN_UP, mode="mc", **_mc_stream(config))
+    return est.mean, float(est.std_error)
 
 
 def cmd_odds_table(config: RunConfig) -> Report:
@@ -177,15 +184,8 @@ def cmd_odds_table(config: RunConfig) -> Report:
         case = index + 1
         if mc:
             # Each row owns the stream-index block [index*shards, ...).
-            rng = RngStream(config.seed, index * config.shards)
-            est = apply_channel(
-                strategy.spec,
-                initial_state_for(strategy.spec),
-                mode="mc",
-                samples=config.samples,
-                rng=rng,
-                shards=config.shards,
-            )
+            stream = _mc_stream(config, index * config.shards)
+            est = apply_channel(strategy.spec, initial_state_for(strategy.spec), mode="mc", **stream)
             outcome = outcome_from_state(est.mean)
             extra = {"std_error": float(est.std_error)}
         else:
@@ -220,6 +220,10 @@ def cmd_angle_scan(
         raise BadRangeError("--theta-min must be strictly less than --theta-max")
     if int(steps) < 2:
         raise BadRangeError(f"--steps must be >= 2, got {steps}")
+    if int(steps) > MAX_SCAN_STEPS:
+        raise BadRangeError(f"--steps must be <= {MAX_SCAN_STEPS}, got {steps}")
+    if not math.isfinite(theta_max_deg - theta_min_deg):
+        raise BadRangeError("--theta-max - --theta-min must be finite")
     t0 = time.perf_counter()
     scan = angle_scan(math.radians(theta_min_deg), math.radians(theta_max_deg), int(steps))
     deg_grid = np.linspace(float(theta_min_deg), float(theta_max_deg), int(steps))
@@ -262,14 +266,7 @@ def cmd_iterate(config: RunConfig, n_max: int) -> Report:
     mc = config.mode == "mc"
     curve = None
     if mc:
-        curve = iterated_mc_curve(
-            RandomBasisMeasurement(),
-            SPIN_UP,
-            n_max,
-            samples=config.samples,
-            rng=RngStream(config.seed),
-            shards=config.shards,
-        )
+        curve = iterated_mc_curve(RandomBasisMeasurement(), SPIN_UP, n_max, **_mc_stream(config))
     rows = []
     csv_rows = []
     state = np.array(SPIN_UP)
@@ -287,16 +284,9 @@ def cmd_iterate(config: RunConfig, n_max: int) -> Report:
             est = curve[n - 1]
             mc_w_p, _, _ = decompose_polarized(est.mean)
             mc_outcome = outcome_from_state(est.mean)
-            row.update(
-                {
-                    "mc_polarized_weight": float(mc_w_p),
-                    "mc_q_win": float(mc_outcome.q_win_probability),
-                    "mc_std_error": float(est.std_error),
-                }
-            )
-            csv_row.extend(
-                [float(mc_w_p), float(mc_outcome.q_win_probability), float(est.std_error)]
-            )
+            mc_cells = [float(mc_w_p), float(mc_outcome.q_win_probability), float(est.std_error)]
+            row.update(zip(("mc_polarized_weight", "mc_q_win", "mc_std_error"), mc_cells))
+            csv_row.extend(mc_cells)
         rows.append(row)
         csv_rows.append(csv_row)
     duration = (time.perf_counter() - t0) * 1000.0
@@ -313,40 +303,19 @@ def cmd_twirl(config: RunConfig, theta_deg: float, axis=None) -> Report:
     over random axes."""
     theta = math.radians(float(theta_deg))
     t0 = time.perf_counter()
-    std_error = None
     if axis is None:
-        if config.mode == "mc":
-            est = twirl_mc(
-                SPIN_UP,
-                theta,
-                samples=config.samples,
-                rng=RngStream(config.seed),
-                shards=config.shards,
-            )
-            state = est.mean
-            std_error = float(est.std_error)
-        else:
-            state = twirl_analytic(theta)
         axis_doc = None
+        if config.mode == "mc":
+            est = twirl_mc(SPIN_UP, theta, **_mc_stream(config))
+            state, std_error = est.mean, float(est.std_error)
+        else:
+            state, std_error = twirl_analytic(theta), None
     else:
         axis_vec = parse_axis(axis) if isinstance(axis, str) else unit_axis(axis)
         if isinstance(axis_vec, str):
             raise BadAxisError("twirl takes a fixed axis or none; 'random' is the default")
-        spec = FixedRotation(axis_vec, theta)
-        if config.mode == "mc":
-            est = apply_channel(
-                spec,
-                SPIN_UP,
-                mode="mc",
-                samples=config.samples,
-                rng=RngStream(config.seed),
-                shards=config.shards,
-            )
-            state = est.mean
-            std_error = float(est.std_error)
-        else:
-            state = apply_channel(spec, SPIN_UP)
         axis_doc = [float(c) for c in axis_vec]
+        state, std_error = _from_spin_up(config, FixedRotation(axis_vec, theta))
     results = {
         "theta_degrees": float(theta_deg),
         "axis": axis_doc,
@@ -381,21 +350,7 @@ def cmd_measure(config: RunConfig, axis="random", repeat: int = 1) -> Report:
     else:
         inner = FixedAxisMeasurement(axis_vec)
         axis_doc = [float(c) for c in axis_vec]
-    spec = inner if repeat == 1 else Iterated(inner, repeat)
-    std_error = None
-    if config.mode == "mc":
-        est = apply_channel(
-            spec,
-            SPIN_UP,
-            mode="mc",
-            samples=config.samples,
-            rng=RngStream(config.seed),
-            shards=config.shards,
-        )
-        state = est.mean
-        std_error = float(est.std_error)
-    else:
-        state = apply_channel(spec, SPIN_UP)
+    state, std_error = _from_spin_up(config, inner if repeat == 1 else Iterated(inner, repeat))
     w_p, w_u, _ = decompose_polarized(state)
     results = {
         "axis": axis_doc,
@@ -416,24 +371,26 @@ def cmd_measure(config: RunConfig, axis="random", repeat: int = 1) -> Report:
     return Report(_config_dict(config, **extras), results, duration, header, [csv_row])
 
 
-def _uint64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+def _checked(convert, noun: str, ok, rule: str):
+    """argparse type: convert the text, then reject a value that fails ok."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+_uint64 = _checked(
+    int, "an integer", lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit integer"
+)
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, "value must be >= 1")
+_finite_float = _checked(float, "a number", math.isfinite, "value must be finite")
 
 
 def _add_shared(sp: argparse.ArgumentParser) -> None:
@@ -477,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("angle-scan", help="scan the random-axis rotation angle")
     _add_shared(sp)
-    sp.add_argument("--theta-min", type=float, default=0.0, help="start angle in degrees")
-    sp.add_argument("--theta-max", type=float, default=180.0, help="end angle in degrees")
+    sp.add_argument("--theta-min", type=_finite_float, default=0.0, help="start angle in degrees")
+    sp.add_argument("--theta-max", type=_finite_float, default=180.0, help="end angle in degrees")
     sp.add_argument("--steps", type=int, default=181, help="grid size (default 181)")
 
     sp = sub.add_parser("iterate", help="repeat random-basis measurements")
@@ -487,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("twirl", help="rotate the polarized state")
     _add_shared(sp)
-    sp.add_argument("--theta", type=float, required=True, help="rotation angle in degrees")
+    sp.add_argument("--theta", type=_finite_float, required=True, help="rotation angle in degrees")
     sp.add_argument("--axis", default=None, help="fixed axis x|y|z|nx,ny,nz (default: random)")
 
     sp = sub.add_parser("measure", help="measure the polarized state")
@@ -514,8 +471,15 @@ def _dispatch(config: RunConfig, args: argparse.Namespace) -> Report:
     raise ValueError(f"unknown command {config.command!r}")
 
 
+# The parser main reuses, built on the first call rather than at import.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     config = RunConfig(
         command=args.command,
         seed=args.seed,

@@ -8,6 +8,7 @@ input.  Entropy is reported in nats.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -57,6 +58,35 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().T
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), inf where finite parts overflow.  abs is libm's hypot, as in
+    numpy's scalar modulus; math.hypot differs in about 1 case in 200."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _entries(m, shape_error=NotHermitianError):
+    """m as a (2, 2) complex array and its entries a, b, d as Python complex
+    numbers, after the shape, finiteness and Hermiticity checks (|m - m+| is
+    twice the imaginary part on the diagonal, |b - conj(c)| off it)."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise shape_error(f"expected a (2, 2) matrix, got shape {m.shape}")
+    (a, b), (c, d) = m.tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
+        raise NotHermitianError("matrix has non-finite entries")
+    if max(2.0 * abs(a.imag), 2.0 * abs(d.imag), _modulus(b - c.conjugate())) > EXACT_TOL:
+        raise NotHermitianError("matrix is not Hermitian within EXACT_TOL")
+    return m, a, b, d
+
+
+def _mid_rad(a: complex, b: complex, d: complex) -> tuple[float, float]:
+    """(mid, rad): the Hermitian [[a, b], [b*, d]] has eigenvalues mid +/- rad."""
+    return 0.5 * (a.real + d.real), math.hypot(0.5 * (a.real - d.real), _modulus(b))
+
+
 def eigen_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigensystem of a 2x2 Hermitian matrix.
 
@@ -64,18 +94,9 @@ def eigen_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors in the *columns* of ``v``.  Within EXACT_TOL of degeneracy
     the computational basis is returned, so repeated runs are bit-stable.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise NotHermitianError(f"expected a (2, 2) matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NotHermitianError("matrix has non-finite entries")
-    if np.abs(m - m.conj().T).max() > EXACT_TOL:
-        raise NotHermitianError("matrix is not Hermitian within EXACT_TOL")
-    a = m[0, 0].real
-    d = m[1, 1].real
-    b = m[0, 1]
-    mid = 0.5 * (a + d)
-    rad = math.hypot(0.5 * (a - d), abs(b))
+    _, a, b, d = _entries(m)
+    mid, rad = _mid_rad(a, b, d)
+    a, d = a.real, d.real
     w = np.array([mid + rad, mid - rad])
     if 2.0 * rad < EXACT_TOL:
         return w, np.eye(2, dtype=complex)
@@ -96,18 +117,13 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     Raises NotHermitianError / TraceNotOneError / NotPositiveError naming the
     first violated invariant.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise DensityMatrixError(f"expected a (2, 2) matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NotHermitianError("matrix has non-finite entries")
-    if np.abs(m - m.conj().T).max() > EXACT_TOL:
-        raise NotHermitianError("matrix is not Hermitian within EXACT_TOL")
-    if abs(np.trace(m) - 1.0) > EXACT_TOL:
-        raise TraceNotOneError(f"trace is {np.trace(m)}, expected 1")
-    w, _ = eigen_hermitian(m)
-    if w[1] < -EXACT_TOL:
-        raise NotPositiveError(f"negative eigenvalue {w[1]}")
+    m, a, b, d = _entries(m, DensityMatrixError)
+    trace = a + d
+    if _modulus(trace - 1.0) > EXACT_TOL:
+        raise TraceNotOneError(f"trace is {trace}, expected 1")
+    mid, rad = _mid_rad(a, b, d)
+    if mid - rad < -EXACT_TOL:
+        raise NotPositiveError(f"negative eigenvalue {mid - rad}")
     return m
 
 
@@ -123,9 +139,10 @@ def entropy(rho: np.ndarray) -> float:
     Eigenvalues are clipped into [0, 1] so rounding noise at the spectrum
     edges cannot produce NaNs or negative entropy.
     """
-    w, _ = eigen_hermitian(rho)
+    mid, rad = _mid_rad(*_entries(rho)[1:])
     s = 0.0
-    for lam in np.clip(w, 0.0, 1.0):
+    for lam in (mid + rad, mid - rad):
+        lam = min(max(lam, 0.0), 1.0)
         if lam > 0.0:
             s -= lam * math.log(lam)
     return s
@@ -142,9 +159,9 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
 
 
 def from_bloch(v) -> np.ndarray:
-    """State for a Bloch vector; the norm may not exceed 1 + EXACT_TOL."""
+    """State for a finite Bloch vector whose norm is at most 1 + EXACT_TOL."""
     x, y, z = (float(c) for c in v)
-    if math.sqrt(x * x + y * y + z * z) > 1.0 + EXACT_TOL:
+    if not math.sqrt(x * x + y * y + z * z) <= 1.0 + EXACT_TOL:
         raise BlochOutOfBallError(f"Bloch vector ({x}, {y}, {z}) lies outside the unit ball")
     return _bloch_state((x, y, z))
 
@@ -160,8 +177,8 @@ def _bloch_state(v) -> np.ndarray:
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the sum of |eigenvalues| of (a - b)."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    w, _ = eigen_hermitian(diff)
-    return 0.5 * (abs(float(w[0])) + abs(float(w[1])))
+    mid, rad = _mid_rad(*_entries(diff)[1:])
+    return 0.5 * (abs(mid + rad) + abs(mid - rad))
 
 
 def decompose_polarized(rho: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -170,7 +187,13 @@ def decompose_polarized(rho: np.ndarray) -> tuple[float, float, np.ndarray]:
     w_p = lambda_max - lambda_min is the polarized weight.  For the fully
     mixed state the split degenerates and rho_p defaults to the +z projector.
     """
-    w, v = eigen_hermitian(rho)
-    w_p = float(w[0] - w[1])
-    v0 = v[:, 0]
-    return w_p, 1.0 - w_p, np.outer(v0, v0.conj())
+    _, a, b, d = _entries(rho)
+    mid, rad = _mid_rad(a, b, d)
+    w_p = (mid + rad) - (mid - rad)
+    if 2.0 * rad < EXACT_TOL:
+        return w_p, 1.0 - w_p, np.array(SPIN_UP)
+    # (rho - lambda_min I) / w_p written as (I + (rho - mid I) / rad) / 2,
+    # which avoids the cancellation in rho - lambda_min I at a narrow gap.
+    z = 0.5 * (a.real - d.real) / rad
+    b = b / rad
+    return w_p, 1.0 - w_p, 0.5 * np.array([[1.0 + z, b], [b.conjugate(), 1.0 - z]])

@@ -3,10 +3,12 @@ and fairness angle scans.
 
 Q prepares a polarized qubit, P applies a disruption channel without looking,
 and Q's best final move is to predict the channel output's dominant
-eigenvector; Q's win probability is therefore the largest eigenvalue of the
-post-channel state.  Starting from the +z basis state loses no generality:
-the random-axis channels are rotation covariant, and the strategies that do
-depend on Q's frame take the frame as an argument.
+eigenvector; Q's win probability is therefore the largest eigenvalue mid + rad
+of the post-channel state, read off its entries.  Starting from the +z basis
+state loses no generality: the random-axis channels are rotation covariant,
+and the strategies that do depend on Q's frame take the frame as an argument.
+The angle scan is closed form in the Bloch contraction c: purity (1 + c^2) / 2
+and distance |c| / 2 to the fully mixed state.
 """
 
 from __future__ import annotations
@@ -28,18 +30,12 @@ from .channels import (
     TwoAxisFlip,
     apply_channel,
     bloch_contraction,
-    twirl_analytic,
 )
-from .density import (
-    EXACT_TOL,
-    MAXIMALLY_MIXED,
-    SPIN_UP,
-    eigen_hermitian,
-    from_bloch,
-    purity,
-    trace_distance,
-)
+from .density import EXACT_TOL, SPIN_UP, _entries, _mid_rad, from_bloch
 from .rotations import RngStream, rotation_unitary, unit_axis
+
+# Largest angle_scan grid: 8 MB per column, a report of ~100 MB via the CLI.
+MAX_SCAN_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,8 @@ def outcome_from_state(rho: np.ndarray) -> GameOutcome:
     Odds are q_win : (1 - q_win) scaled so the right side is 1, except a
     certain win (within EXACT_TOL) reads 1:0.
     """
-    w, _ = eigen_hermitian(rho)
-    q = min(max(float(w[0]), 0.0), 1.0)
+    mid, rad = _mid_rad(*_entries(rho)[1:])
+    q = min(max(mid + rad, 0.0), 1.0)
     state = np.asarray(rho, dtype=complex)
     if 1.0 - q <= EXACT_TOL:
         return GameOutcome(q, 1.0, 0.0, state)
@@ -216,30 +212,35 @@ def angle_scan(theta_min: float, theta_max: float, steps: int) -> AngleScanResul
     Reports purity and trace distance to the fully mixed state at each grid
     angle, the distance argmin (ties break toward the smaller angle), and a
     root of the Bloch contraction bisected to 1e-9 rad when the contraction
-    changes sign inside the range; refined_root is None otherwise.
+    changes sign inside the range; refined_root is None otherwise.  A range
+    that is not finite, or a grid over MAX_SCAN_STEPS, is rejected up front.
     """
     theta_min = float(theta_min)
     theta_max = float(theta_max)
     steps = int(steps)
+    if not math.isfinite(theta_max - theta_min):
+        raise ValueError("theta_max - theta_min must be finite")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be strictly less than theta_max")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_SCAN_STEPS:
+        raise ValueError(f"steps must be <= {MAX_SCAN_STEPS}, got {steps}")
     thetas = np.linspace(theta_min, theta_max, steps)
-    states = [twirl_analytic(t) for t in thetas]
-    purities = np.array([purity(s) for s in states])
-    dists = np.array([trace_distance(s, MAXIMALLY_MIXED) for s in states])
+    # bloch_contraction on the grid: the twirled +z state is (I + c Z) / 2
+    c = (1.0 + 2.0 * np.cos(thetas)) / 3.0
+    purities = 0.5 * (1.0 + c * c)
+    dists = 0.5 * np.abs(c)
     argmin_theta = float(thetas[int(np.argmin(dists))])
-    contraction = np.array([bloch_contraction(t) for t in thetas])
+    # the first grid point that is a root or opens a sign change
+    hits = np.flatnonzero((c[:-1] == 0.0) | (c[:-1] * c[1:] < 0.0))
     refined = None
-    for i in range(steps - 1):
-        if contraction[i] == 0.0:
+    if hits.size:
+        i = int(hits[0])
+        if c[i] == 0.0:
             refined = float(thetas[i])
-            break
-        if contraction[i] * contraction[i + 1] < 0.0:
+        else:
             refined = _bisect(bloch_contraction, float(thetas[i]), float(thetas[i + 1]))
-            break
-    else:
-        if contraction[-1] == 0.0:
-            refined = float(thetas[-1])
+    elif c[-1] == 0.0:
+        refined = float(thetas[-1])
     return AngleScanResult(thetas, purities, dists, argmin_theta, refined)

@@ -11,18 +11,19 @@ import math
 
 import numpy as np
 
-from pennyflip import RngStream, SPIN_UP, twirl_analytic, twirl_mc
+from pennyflip import SPIN_UP, RandomAxisRotation, RngStream, apply_channel, twirl_analytic
 
 
 def main():
     theta = math.radians(90.0)
     exact = twirl_analytic(theta)
+    twirl = RandomAxisRotation(theta)
 
     print("      samples   max |MC - exact|   std error    std error * sqrt(N)")
     print("-" * 68)
     for power in range(2, 7):
         n = 10**power
-        est = twirl_mc(SPIN_UP, theta, samples=n, rng=RngStream(0))
+        est = apply_channel(twirl, SPIN_UP, mode="mc", samples=n, rng=RngStream(0))
         dev = np.max(np.abs(est.mean - exact))
         print(
             f"{n:13,d}   {dev:16.3e}   {est.std_error:.3e}    {est.std_error * math.sqrt(n):.4f}"
@@ -31,7 +32,7 @@ def main():
     print()
     print("Every run above uses seed 0, so rerunning the script reproduces the")
     print("numbers bit for bit.  Splitting a run across shards, e.g.")
-    print("twirl_mc(..., shards=8), draws from per-shard substreams and stays")
+    print('apply_channel(..., mode="mc", shards=8), draws from per-shard substreams and stays')
     print("reproducible for a fixed (seed, samples, shards) triple.")
 
 

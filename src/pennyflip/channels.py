@@ -211,18 +211,6 @@ def _project(r: np.ndarray, n: np.ndarray) -> np.ndarray:
 # analytic paths
 
 
-def apply_fixed_rotation(rho: np.ndarray, axis, theta: float) -> np.ndarray:
-    """U rho U+ for the axis-angle rotation U."""
-    rho = validate_density(rho)
-    return _analytic(FixedRotation(axis, theta), rho)
-
-
-def apply_meyer_mixture(rho: np.ndarray, p: float, f) -> np.ndarray:
-    """p rho + (1 - p) F rho F+; F must be unitary within EXACT_TOL."""
-    rho = validate_density(rho)
-    return _analytic(MeyerMixture(p, f), rho)
-
-
 def bloch_contraction(theta: float) -> float:
     """Bloch-vector scale factor of the random-axis rotation: (1 + 2 cos theta) / 3."""
     return (1.0 + 2.0 * math.cos(theta)) / 3.0
@@ -234,8 +222,8 @@ def twirl_analytic(theta: float, rho: np.ndarray | None = None) -> np.ndarray:
         diag(cos^2(theta/2) + sin^2(theta/2)/3,  (2/3) sin^2(theta/2))
 
     Only the +z basis state has this diagonal form; pass anything else and a
-    ValueError points you at twirl_general.  A non-finite theta is a
-    ValueError too.
+    ValueError points you at apply_channel(RandomAxisRotation(theta), rho).
+    A non-finite theta is a ValueError too.
     """
     _require_finite_angle(theta)
     if rho is not None:
@@ -243,34 +231,13 @@ def twirl_analytic(theta: float, rho: np.ndarray | None = None) -> np.ndarray:
         if np.abs(rho - SPIN_UP).max() > EXACT_TOL:
             raise ValueError(
                 "twirl_analytic is the closed form for the +z basis state; "
-                "use twirl_general for arbitrary states"
+                "use apply_channel(RandomAxisRotation(theta), rho) for arbitrary states"
             )
     c2 = math.cos(0.5 * theta) ** 2
     s2 = math.sin(0.5 * theta) ** 2
     return np.array(
         [[c2 + s2 / 3.0, 0.0], [0.0, 2.0 * s2 / 3.0]], dtype=complex
     )
-
-
-def twirl_general(rho: np.ndarray, theta: float) -> np.ndarray:
-    """Random-axis rotation of an arbitrary state: Bloch vector scaled by
-    bloch_contraction(theta)."""
-    rho = validate_density(rho)
-    return _analytic(RandomAxisRotation(theta), rho)
-
-
-def measure_fixed_axis(rho: np.ndarray, axis) -> np.ndarray:
-    """Projective measurement channel along one axis: the Bloch vector r goes
-    to (n . r) n, the mixture of the two eigenprojectors (I +/- sigma.n) / 2
-    weighted by their outcome probabilities."""
-    rho = validate_density(rho)
-    return _analytic(FixedAxisMeasurement(axis), rho)
-
-
-def random_measurement_analytic(rho: np.ndarray) -> np.ndarray:
-    """Axis-averaged measurement channel: Bloch vector scaled by exactly 1/3."""
-    rho = validate_density(rho)
-    return _analytic(RandomBasisMeasurement(), rho)
 
 
 def _analytic(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
@@ -367,34 +334,6 @@ def _mc_estimates(spec, rho, samples, rng, shards, n_steps: int = 1) -> list[McE
             total[step] += cols.sum(axis=1)
             total_sq[step] += np.square(cols).sum(axis=1)
     return [_estimate(t, t_sq, samples) for t, t_sq in zip(total, total_sq)]
-
-
-def twirl_mc(
-    rho: np.ndarray,
-    theta: float,
-    samples: int = DEFAULT_SAMPLES,
-    rng: RngStream | None = None,
-    shards: int = 1,
-) -> McEstimate:
-    """Monte Carlo random-axis rotation: mean over sampled-axis conjugations.
-
-    With samples=1 the mean is bit-identical to apply_fixed_rotation at the
-    axis the stream yields.
-    """
-    rho = validate_density(rho)
-    return _mc_estimates(RandomAxisRotation(theta), rho, samples, rng, shards)[0]
-
-
-def random_measurement_mc(
-    rho: np.ndarray,
-    samples: int = DEFAULT_SAMPLES,
-    rng: RngStream | None = None,
-    shards: int = 1,
-) -> McEstimate:
-    """Monte Carlo random-basis measurement: mean of measure_fixed_axis over
-    sampled axes."""
-    rho = validate_density(rho)
-    return _mc_estimates(RandomBasisMeasurement(), rho, samples, rng, shards)[0]
 
 
 def apply_channel(

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,24 +27,27 @@ from .channels import (
     FixedAxisMeasurement,
     FixedRotation,
     Iterated,
+    RandomAxisRotation,
     RandomBasisMeasurement,
     apply_channel,
     iterated_mc_curve,
     twirl_analytic,
-    twirl_mc,
 )
 from .density import (
     SPIN_UP,
-    DensityMatrixError,
     decompose_polarized,
     entropy,
     purity,
 )
 from .game import MAX_SCAN_STEPS
-from .game import angle_scan, default_strategies, initial_state_for, outcome_from_state, play_game
+from .game import angle_scan, default_strategies, initial_state_for, outcome_from_state
 from .rotations import RngStream, unit_axis
 
 DEFAULT_SEED = 0
+# Largest --n-max and --repeat: past n ~ 680, 3**-n underflows to 0.
+MAX_ITERATIONS = 1000
+# Largest --samples: about 0.3 GB of Monte Carlo working set.
+MAX_SAMPLES = 2**22
 
 
 class BadRangeError(ValueError):
@@ -67,37 +70,51 @@ class RunConfig:
     output_path: str | None = None
     shards: int = 1
 
+    def __post_init__(self):
+        # checked before any estimate allocates its samples or shard list
+        _bounded("--samples", self.samples, 1, MAX_SAMPLES)
+        _bounded("--shards", self.shards, 1, self.samples)
+
+
+_MATRIX_HEADER = [f"m{ij}_{part}" for ij in ("00", "01", "10", "11") for part in ("re", "im")]
+
 
 @dataclass(frozen=True)
 class Report:
-    """One run's config echo, results, and wall time, in both formats."""
+    """One run's config echo, results, and wall time, in both formats.
+
+    The CSV is a projection of results: one line per entry of
+    results["rows"], or one for results itself when it has no rows, holding
+    the csv_header columns.  A column a row lacks is read from results, and
+    a "state" column spans the eight m00_re ... m11_im cells.
+    """
 
     config: dict
     results: dict
     duration_ms: float
-    csv_header: list = field(default_factory=list)
-    csv_rows: list = field(default_factory=list)
+    csv_header: list
 
     def to_json(self) -> str:
-        doc = {
-            "config": self.config,
-            "results": self.results,
-            "duration_ms": self.duration_ms,
-        }
+        doc = {"config": self.config, "results": self.results, "duration_ms": self.duration_ms}
         return json.dumps(doc, indent=2) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.csv_header)
-        for row in self.csv_rows:
-            writer.writerow("" if cell is None else cell for cell in row)
+        writer.writerow(
+            cell for name in self.csv_header
+            for cell in (_MATRIX_HEADER if name == "state" else [name])
+        )
+        for row in self.results.get("rows", [self.results]):
+            cells = []
+            for name in self.csv_header:
+                value = row[name] if name in row else self.results[name]
+                if name == "state":
+                    cells += [part for pairs in value for pair in pairs for part in pair]
+                else:
+                    cells.append(value)
+            writer.writerow(cells)
         return out.getvalue()
-
-    def rendered(self) -> str:
-        if self.config.get("format") == "csv":
-            return self.to_csv()
-        return self.to_json()
 
 
 def matrix_to_pairs(m) -> list:
@@ -116,12 +133,11 @@ def parse_axis(text: str):
 
     Numeric axes are renormalized; the zero vector is rejected.
     """
-    named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
     t = text.strip().lower()
     if t == "random":
         return "random"
-    if t in named:
-        return np.array(named[t])
+    if t in ("x", "y", "z"):
+        return np.eye(3)["xyz".index(t)]
     parts = t.split(",")
     if len(parts) != 3:
         raise BadAxisError(f"axis must be x, y, z, random, or nx,ny,nz (got {text!r})")
@@ -135,8 +151,23 @@ def parse_axis(text: str):
         raise BadAxisError(str(exc)) from exc
 
 
-def _config_dict(config: RunConfig, **extras) -> dict:
-    doc = {
+def _bounded(flag: str, value, lo: int, hi: int) -> int:
+    """int(value), or a BadRangeError naming flag unless lo <= value <= hi."""
+    value = int(value)
+    if value < lo:
+        raise BadRangeError(f"{flag} must be >= {lo}, got {value}")
+    if value > hi:
+        raise BadRangeError(f"{flag} must be <= {hi}, got {value}")
+    return value
+
+
+def _report(config: RunConfig, t0: float, results: dict, csv_header: list, **params) -> Report:
+    """Report of a run started at perf_counter() t0: the results, the config
+    echoed with the subcommand's own params, and the wall time since t0.
+    The CSV gains a std_error column when the results or their rows carry one."""
+    if "std_error" in results.get("rows", [results])[0]:
+        csv_header = csv_header + ["std_error"]
+    echo = {
         "command": config.command,
         "seed": int(config.seed),
         "samples": int(config.samples),
@@ -144,71 +175,43 @@ def _config_dict(config: RunConfig, **extras) -> dict:
         "shards": int(config.shards),
         "format": config.output_format,
         "output": config.output_path,
+        **params,
     }
-    doc.update(extras)
-    return doc
+    return Report(echo, results, (time.perf_counter() - t0) * 1000.0, csv_header)
 
 
-def _flat_matrix_cells(m) -> list[float]:
-    return [part for row in matrix_to_pairs(m) for pair in row for part in pair]
-
-
-_MATRIX_HEADER = [
-    "m00_re", "m00_im", "m01_re", "m01_im",
-    "m10_re", "m10_im", "m11_re", "m11_im",
-]
-
-
-def _mc_stream(config: RunConfig, stream_index: int = 0) -> dict:
-    """Sample count, shards and stream (seed, stream_index) of an estimate."""
-    rng = RngStream(config.seed, stream_index)
-    return {"samples": config.samples, "rng": rng, "shards": config.shards}
-
-
-def _from_spin_up(config: RunConfig, spec) -> tuple[np.ndarray, float | None]:
-    """spec applied to the +z basis state: the exact state and None, or in mc
-    mode the estimate's mean and std_error."""
+def _apply(config: RunConfig, spec, start=SPIN_UP, stream_index: int = 0):
+    """spec applied to start: the exact state and no report fields, or in mc
+    mode the mean under stream (seed, stream_index) and its std_error field."""
     if config.mode != "mc":
-        return apply_channel(spec, SPIN_UP), None
-    est = apply_channel(spec, SPIN_UP, mode="mc", **_mc_stream(config))
-    return est.mean, float(est.std_error)
+        return apply_channel(spec, start), {}
+    rng = RngStream(config.seed, stream_index)
+    est = apply_channel(
+        spec, start, mode="mc", samples=config.samples, rng=rng, shards=config.shards
+    )
+    return est.mean, {"std_error": float(est.std_error)}
 
 
 def cmd_odds_table(config: RunConfig) -> Report:
     """Score the three disruption strategies and report q_win and odds."""
     t0 = time.perf_counter()
     rows = []
-    csv_rows = []
-    mc = config.mode == "mc"
     for index, strategy in enumerate(default_strategies()):
-        case = index + 1
-        if mc:
-            # Each row owns the stream-index block [index*shards, ...).
-            stream = _mc_stream(config, index * config.shards)
-            est = apply_channel(strategy.spec, initial_state_for(strategy.spec), mode="mc", **stream)
-            outcome = outcome_from_state(est.mean)
-            extra = {"std_error": float(est.std_error)}
-        else:
-            outcome = play_game(strategy)
-            extra = {}
-        row = {
-            "case": case,
+        # Each row owns the stream-index block [index*shards, ...).
+        start = initial_state_for(strategy.spec)
+        state, mc_fields = _apply(config, strategy.spec, start, index * config.shards)
+        outcome = outcome_from_state(state)
+        rows.append({
+            "case": index + 1,
             "strategy": strategy.label,
             "q_win": float(outcome.q_win_probability),
             "odds": outcome.odds_string,
             "odds_q": float(outcome.odds_q),
             "odds_p": float(outcome.odds_p),
             "post_state": matrix_to_pairs(outcome.post_channel_state),
-        }
-        row.update(extra)
-        rows.append(row)
-        csv_row = [case, strategy.label, float(outcome.q_win_probability), outcome.odds_string]
-        if mc:
-            csv_row.append(float(est.std_error))
-        csv_rows.append(csv_row)
-    duration = (time.perf_counter() - t0) * 1000.0
-    header = ["case", "strategy", "q_win", "odds"] + (["std_error"] if mc else [])
-    return Report(_config_dict(config), {"rows": rows}, duration, header, csv_rows)
+            **mc_fields,
+        })
+    return _report(config, t0, {"rows": rows}, ["case", "strategy", "q_win", "odds"])
 
 
 def cmd_angle_scan(
@@ -218,84 +221,63 @@ def cmd_angle_scan(
     angle where it erases the polarization."""
     if theta_min_deg >= theta_max_deg:
         raise BadRangeError("--theta-min must be strictly less than --theta-max")
-    if int(steps) < 2:
-        raise BadRangeError(f"--steps must be >= 2, got {steps}")
-    if int(steps) > MAX_SCAN_STEPS:
-        raise BadRangeError(f"--steps must be <= {MAX_SCAN_STEPS}, got {steps}")
+    steps = _bounded("--steps", steps, 2, MAX_SCAN_STEPS)
     if not math.isfinite(theta_max_deg - theta_min_deg):
         raise BadRangeError("--theta-max - --theta-min must be finite")
     t0 = time.perf_counter()
-    scan = angle_scan(math.radians(theta_min_deg), math.radians(theta_max_deg), int(steps))
-    deg_grid = np.linspace(float(theta_min_deg), float(theta_max_deg), int(steps))
-    refined_deg = None if scan.refined_root is None else math.degrees(scan.refined_root)
-    argmin_deg = float(deg_grid[int(np.argmin(scan.trace_distances))])
-    rows = [
-        {
-            "theta_degrees": float(deg),
-            "purity": float(p),
-            "trace_distance_to_mixed": float(d),
-        }
-        for deg, p, d in zip(deg_grid, scan.purities, scan.trace_distances)
-    ]
+    scan = angle_scan(math.radians(theta_min_deg), math.radians(theta_max_deg), steps)
+    deg_grid = np.linspace(float(theta_min_deg), float(theta_max_deg), steps)
+    columns = ("theta_degrees", "purity", "trace_distance_to_mixed")
+    grid = zip(deg_grid, scan.purities, scan.trace_distances)
+    rows = [dict(zip(columns, map(float, cells))) for cells in grid]
     results = {
         "rows": rows,
-        "argmin_theta_degrees": argmin_deg,
-        "refined_root_degrees": refined_deg,
+        "argmin_theta_degrees": float(deg_grid[int(np.argmin(scan.trace_distances))]),
+        "refined_root_degrees": (
+            None if scan.refined_root is None else math.degrees(scan.refined_root)
+        ),
     }
-    duration = (time.perf_counter() - t0) * 1000.0
-    header = ["theta_degrees", "purity", "trace_distance_to_mixed", "refined_root_degrees"]
-    csv_rows = [
-        [row["theta_degrees"], row["purity"], row["trace_distance_to_mixed"], refined_deg]
-        for row in rows
-    ]
-    extras = {
-        "theta_min_degrees": float(theta_min_deg),
-        "theta_max_degrees": float(theta_max_deg),
-        "steps": int(steps),
-    }
-    return Report(_config_dict(config, **extras), results, duration, header, csv_rows)
+    return _report(
+        config,
+        t0,
+        results,
+        [*columns, "refined_root_degrees"],
+        theta_min_degrees=float(theta_min_deg),
+        theta_max_degrees=float(theta_max_deg),
+        steps=steps,
+    )
 
 
 def cmd_iterate(config: RunConfig, n_max: int) -> Report:
     """Report the polarized weight and win odds after 1..n_max random-basis
     measurements."""
-    n_max = int(n_max)
-    if n_max < 1:
-        raise BadRangeError(f"--n-max must be >= 1, got {n_max}")
+    n_max = _bounded("--n-max", n_max, 1, MAX_ITERATIONS)
     t0 = time.perf_counter()
     mc = config.mode == "mc"
-    curve = None
     if mc:
-        curve = iterated_mc_curve(RandomBasisMeasurement(), SPIN_UP, n_max, **_mc_stream(config))
+        curve = iterated_mc_curve(
+            RandomBasisMeasurement(), SPIN_UP, n_max,
+            samples=config.samples, rng=RngStream(config.seed), shards=config.shards,
+        )
     rows = []
-    csv_rows = []
     state = np.array(SPIN_UP)
     for n in range(1, n_max + 1):
         state = apply_channel(RandomBasisMeasurement(), state)
         w_p, _, _ = decompose_polarized(state)
-        outcome = outcome_from_state(state)
         row = {
             "n": n,
             "polarized_weight": float(w_p),
-            "q_win": float(outcome.q_win_probability),
+            "q_win": float(outcome_from_state(state).q_win_probability),
         }
-        csv_row = [n, float(w_p), float(outcome.q_win_probability)]
         if mc:
             est = curve[n - 1]
             mc_w_p, _, _ = decompose_polarized(est.mean)
-            mc_outcome = outcome_from_state(est.mean)
-            mc_cells = [float(mc_w_p), float(mc_outcome.q_win_probability), float(est.std_error)]
-            row.update(zip(("mc_polarized_weight", "mc_q_win", "mc_std_error"), mc_cells))
-            csv_row.extend(mc_cells)
+            row["mc_polarized_weight"] = float(mc_w_p)
+            row["mc_q_win"] = float(outcome_from_state(est.mean).q_win_probability)
+            row["mc_std_error"] = float(est.std_error)
         rows.append(row)
-        csv_rows.append(csv_row)
-    duration = (time.perf_counter() - t0) * 1000.0
-    header = ["n", "polarized_weight", "q_win"]
-    if mc:
-        header += ["mc_polarized_weight", "mc_q_win", "mc_std_error"]
-    return Report(
-        _config_dict(config, n_max=n_max), {"rows": rows}, duration, header, csv_rows
-    )
+    # every row holds exactly the CSV columns
+    return _report(config, t0, {"rows": rows}, list(rows[0]), n_max=n_max)
 
 
 def cmd_twirl(config: RunConfig, theta_deg: float, axis=None) -> Report:
@@ -303,45 +285,33 @@ def cmd_twirl(config: RunConfig, theta_deg: float, axis=None) -> Report:
     over random axes."""
     theta = math.radians(float(theta_deg))
     t0 = time.perf_counter()
-    if axis is None:
-        axis_doc = None
-        if config.mode == "mc":
-            est = twirl_mc(SPIN_UP, theta, **_mc_stream(config))
-            state, std_error = est.mean, float(est.std_error)
-        else:
-            state, std_error = twirl_analytic(theta), None
-    else:
+    axis_doc = None
+    if axis is not None:
         axis_vec = parse_axis(axis) if isinstance(axis, str) else unit_axis(axis)
         if isinstance(axis_vec, str):
             raise BadAxisError("twirl takes a fixed axis or none; 'random' is the default")
         axis_doc = [float(c) for c in axis_vec]
-        state, std_error = _from_spin_up(config, FixedRotation(axis_vec, theta))
+        state, mc_fields = _apply(config, FixedRotation(axis_vec, theta))
+    elif config.mode == "mc":
+        state, mc_fields = _apply(config, RandomAxisRotation(theta))
+    else:
+        state, mc_fields = twirl_analytic(theta), {}  # the closed form's own bits
     results = {
         "theta_degrees": float(theta_deg),
         "axis": axis_doc,
         "state": matrix_to_pairs(state),
         "purity": float(purity(state)),
         "entropy": float(entropy(state)),
+        **mc_fields,
     }
-    if std_error is not None:
-        results["std_error"] = std_error
-    duration = (time.perf_counter() - t0) * 1000.0
-    header = ["theta_degrees", "purity", "entropy"] + _MATRIX_HEADER
-    csv_row = [results["theta_degrees"], results["purity"], results["entropy"]]
-    csv_row += _flat_matrix_cells(state)
-    if std_error is not None:
-        header = header + ["std_error"]
-        csv_row = csv_row + [std_error]
-    extras = {"theta_degrees": float(theta_deg), "axis": axis_doc}
-    return Report(_config_dict(config, **extras), results, duration, header, [csv_row])
+    header = ["theta_degrees", "purity", "entropy", "state"]
+    return _report(config, t0, results, header, theta_degrees=float(theta_deg), axis=axis_doc)
 
 
 def cmd_measure(config: RunConfig, axis="random", repeat: int = 1) -> Report:
     """Measure the polarized basis state along a fixed or random axis,
     optionally repeated."""
-    repeat = int(repeat)
-    if repeat < 1:
-        raise BadRangeError(f"--repeat must be >= 1, got {repeat}")
+    repeat = _bounded("--repeat", repeat, 1, MAX_ITERATIONS)
     axis_vec = parse_axis(axis) if isinstance(axis, str) else unit_axis(axis)
     t0 = time.perf_counter()
     if isinstance(axis_vec, str):
@@ -350,7 +320,7 @@ def cmd_measure(config: RunConfig, axis="random", repeat: int = 1) -> Report:
     else:
         inner = FixedAxisMeasurement(axis_vec)
         axis_doc = [float(c) for c in axis_vec]
-    state, std_error = _from_spin_up(config, inner if repeat == 1 else Iterated(inner, repeat))
+    state, mc_fields = _apply(config, inner if repeat == 1 else Iterated(inner, repeat))
     w_p, w_u, _ = decompose_polarized(state)
     results = {
         "axis": axis_doc,
@@ -358,17 +328,10 @@ def cmd_measure(config: RunConfig, axis="random", repeat: int = 1) -> Report:
         "state": matrix_to_pairs(state),
         "polarized_weight": float(w_p),
         "unpolarized_weight": float(w_u),
+        **mc_fields,
     }
-    if std_error is not None:
-        results["std_error"] = std_error
-    duration = (time.perf_counter() - t0) * 1000.0
-    header = ["repeat", "polarized_weight", "unpolarized_weight"] + _MATRIX_HEADER
-    csv_row = [repeat, float(w_p), float(w_u)] + _flat_matrix_cells(state)
-    if std_error is not None:
-        header = header + ["std_error"]
-        csv_row = csv_row + [std_error]
-    extras = {"axis": axis_doc, "repeat": repeat}
-    return Report(_config_dict(config, **extras), results, duration, header, [csv_row])
+    header = ["repeat", "polarized_weight", "unpolarized_weight", "state"]
+    return _report(config, t0, results, header, axis=axis_doc, repeat=repeat)
 
 
 def _checked(convert, noun: str, ok, rule: str):
@@ -393,7 +356,9 @@ _positive_int = _checked(int, "an integer", lambda v: v >= 1, "value must be >= 
 _finite_float = _checked(float, "a number", math.isfinite, "value must be finite")
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser."""
+    sp = argparse.ArgumentParser(add_help=False)
     sp.add_argument("--seed", type=_uint64, default=DEFAULT_SEED, help="RNG seed (default 0)")
     sp.add_argument(
         "--samples",
@@ -420,6 +385,7 @@ def _add_shared(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--output", dest="output_path", default=None, help="write the report here instead of stdout"
     )
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,47 +394,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum penny-flip disruption strategies on a single qubit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_shared_flags()]
 
-    sp = sub.add_parser("odds-table", help="score the three disruption strategies")
-    _add_shared(sp)
+    sp = sub.add_parser("odds-table", parents=shared, help="score the three disruption strategies")
+    sp.set_defaults(run=lambda config, args: cmd_odds_table(config))
 
-    sp = sub.add_parser("angle-scan", help="scan the random-axis rotation angle")
-    _add_shared(sp)
+    sp = sub.add_parser("angle-scan", parents=shared, help="scan the random-axis rotation angle")
     sp.add_argument("--theta-min", type=_finite_float, default=0.0, help="start angle in degrees")
     sp.add_argument("--theta-max", type=_finite_float, default=180.0, help="end angle in degrees")
     sp.add_argument("--steps", type=int, default=181, help="grid size (default 181)")
+    sp.set_defaults(
+        run=lambda config, args: cmd_angle_scan(config, args.theta_min, args.theta_max, args.steps)
+    )
 
-    sp = sub.add_parser("iterate", help="repeat random-basis measurements")
-    _add_shared(sp)
+    sp = sub.add_parser("iterate", parents=shared, help="repeat random-basis measurements")
     sp.add_argument("--n-max", type=int, default=6, help="largest iteration count (default 6)")
+    sp.set_defaults(run=lambda config, args: cmd_iterate(config, args.n_max))
 
-    sp = sub.add_parser("twirl", help="rotate the polarized state")
-    _add_shared(sp)
+    sp = sub.add_parser("twirl", parents=shared, help="rotate the polarized state")
     sp.add_argument("--theta", type=_finite_float, required=True, help="rotation angle in degrees")
     sp.add_argument("--axis", default=None, help="fixed axis x|y|z|nx,ny,nz (default: random)")
+    sp.set_defaults(run=lambda config, args: cmd_twirl(config, args.theta, args.axis))
 
-    sp = sub.add_parser("measure", help="measure the polarized state")
-    _add_shared(sp)
+    sp = sub.add_parser("measure", parents=shared, help="measure the polarized state")
     sp.add_argument(
         "--axis", default="random", help="axis x|y|z|random|nx,ny,nz (default random)"
     )
     sp.add_argument("--repeat", type=int, default=1, help="measurement rounds (default 1)")
+    sp.set_defaults(run=lambda config, args: cmd_measure(config, args.axis, args.repeat))
 
     return parser
-
-
-def _dispatch(config: RunConfig, args: argparse.Namespace) -> Report:
-    if config.command == "odds-table":
-        return cmd_odds_table(config)
-    if config.command == "angle-scan":
-        return cmd_angle_scan(config, args.theta_min, args.theta_max, args.steps)
-    if config.command == "iterate":
-        return cmd_iterate(config, args.n_max)
-    if config.command == "twirl":
-        return cmd_twirl(config, args.theta, args.axis)
-    if config.command == "measure":
-        return cmd_measure(config, args.axis, args.repeat)
-    raise ValueError(f"unknown command {config.command!r}")
 
 
 # The parser main reuses, built on the first call rather than at import.
@@ -480,24 +435,13 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        seed=args.seed,
-        samples=args.samples,
-        mode=args.mode,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        shards=args.shards,
-    )
     try:
-        report = _dispatch(config, args)
-    except (BadRangeError, BadAxisError) as exc:
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        report = args.run(config, args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DensityMatrixError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    text = report.rendered()
+        return 2 if isinstance(exc, (BadRangeError, BadAxisError)) else 3
+    text = report.to_csv() if config.output_format == "csv" else report.to_json()
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="utf-8") as handle:

@@ -33,12 +33,15 @@ def unit_axis(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    parts = v.tolist()
+    if not all(map(math.isfinite, parts)):
         raise ValueError("axis has non-finite entries")
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
+    scale = max(map(abs, parts))
+    if scale == 0.0:
         raise ValueError("axis must be non-zero")
-    return v / n
+    if not 1e-150 <= scale <= 1e150:
+        v = v / scale  # else the squares inside the norm overflow or underflow
+    return v / float(np.linalg.norm(v))
 
 
 def pauli_dot(axis) -> np.ndarray:

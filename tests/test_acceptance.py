@@ -55,9 +55,11 @@ def test_acceptance_2_angle_scan():
 
 def test_acceptance_3_random_measurement():
     t0 = time.perf_counter()
-    exact = pf.random_measurement_analytic(pf.SPIN_UP)
+    exact = pf.apply_channel(pf.RandomBasisMeasurement(), pf.SPIN_UP)
     assert np.max(np.abs(exact - np.diag([2 / 3, 1 / 3]))) <= EXACT
-    est = pf.random_measurement_mc(pf.SPIN_UP, samples=SAMPLES, rng=pf.RngStream(0))
+    est = pf.apply_channel(
+        pf.RandomBasisMeasurement(), pf.SPIN_UP, mode="mc", samples=SAMPLES, rng=pf.RngStream(0)
+    )
     dev = np.max(np.abs(est.mean - exact))
     assert dev <= 4 * est.std_error
     assert _elapsed(t0) < 5.0
@@ -72,7 +74,7 @@ def test_acceptance_4_iterated_decay():
     state = np.array(pf.SPIN_UP)
     exact_states = []
     for n in range(1, 7):
-        state = pf.random_measurement_analytic(state)
+        state = pf.apply_channel(pf.RandomBasisMeasurement(), state)
         exact_states.append(state)
         w_p, _, _ = pf.decompose_polarized(state)
         assert abs(w_p - 3.0 ** (-n)) <= EXACT
@@ -90,12 +92,18 @@ def test_acceptance_5_twirl_mc():
     t0 = time.perf_counter()
     for deg in (30.0, 90.0, 120.0, 150.0):
         theta = math.radians(deg)
-        est = pf.twirl_mc(pf.SPIN_UP, theta, samples=SAMPLES, rng=pf.RngStream(0))
+        spec = pf.RandomAxisRotation(theta)
+        est = pf.apply_channel(spec, pf.SPIN_UP, mode="mc", samples=SAMPLES, rng=pf.RngStream(0))
         dev = np.max(np.abs(est.mean - pf.twirl_analytic(theta)))
         assert dev <= 4 * est.std_error, f"{deg} deg off by {dev}"
     theta = math.radians(90.0)
-    se_small = pf.twirl_mc(pf.SPIN_UP, theta, samples=10_000, rng=pf.RngStream(0)).std_error
-    se_large = pf.twirl_mc(pf.SPIN_UP, theta, samples=1_000_000, rng=pf.RngStream(0)).std_error
+    spec = pf.RandomAxisRotation(theta)
+    se_small = pf.apply_channel(
+        spec, pf.SPIN_UP, mode="mc", samples=10_000, rng=pf.RngStream(0)
+    ).std_error
+    se_large = pf.apply_channel(
+        spec, pf.SPIN_UP, mode="mc", samples=1_000_000, rng=pf.RngStream(0)
+    ).std_error
     ratio = se_small / se_large
     # 100x the samples should shrink the error by about 10x
     assert 10.0 / 1.5 <= ratio <= 10.0 * 1.5
@@ -155,8 +163,9 @@ def test_acceptance_6_property_sweeps():
         rho = random_density(rng)
         theta = rng.uniform(0, 2 * math.pi)
         u = random_unitary(rng)
-        left = pf.twirl_general(u @ rho @ u.conj().T, theta)
-        right = u @ pf.twirl_general(rho, theta) @ u.conj().T
+        spec = pf.RandomAxisRotation(theta)
+        left = pf.apply_channel(spec, u @ rho @ u.conj().T)
+        right = u @ pf.apply_channel(spec, rho) @ u.conj().T
         assert np.max(np.abs(left - right)) <= 1e-10
 
     axes = pf.sample_axes(pf.RngStream(0), SAMPLES)
@@ -184,8 +193,13 @@ def test_acceptance_7_determinism():
     assert analytic_a.to_csv() == analytic_b.to_csv()
     assert analytic_a.results == analytic_b.results
 
-    est_a = pf.twirl_mc(pf.SPIN_UP, 1.0, samples=5000, rng=pf.RngStream(5), shards=4)
-    est_b = pf.twirl_mc(pf.SPIN_UP, 1.0, samples=5000, rng=pf.RngStream(5), shards=4)
+    spec = pf.RandomAxisRotation(1.0)
+    est_a = pf.apply_channel(
+        spec, pf.SPIN_UP, mode="mc", samples=5000, rng=pf.RngStream(5), shards=4
+    )
+    est_b = pf.apply_channel(
+        spec, pf.SPIN_UP, mode="mc", samples=5000, rng=pf.RngStream(5), shards=4
+    )
     assert np.array_equal(est_a.mean, est_b.mean)
     assert est_a.std_error == est_b.std_error
     print("ACCEPTANCE 7 PASS: fixed seeds replay bit-identically; new seeds move MC only")

@@ -38,8 +38,13 @@ def test_spec_axes_are_normalized():
     np.testing.assert_allclose(flip.axis_b, Y, atol=0)
 
 
+def test_fixed_axis_measurement_along_a_huge_axis():
+    out = pf.apply_channel(pf.FixedAxisMeasurement([1e200, 0.0, 1e200]), pf.SPIN_UP)
+    np.testing.assert_allclose(pf.to_bloch(out), [0.5, 0.0, 0.5], atol=ATOL)
+
+
 def test_fixed_rotation_flips_polarization():
-    out = pf.apply_fixed_rotation(pf.SPIN_UP, X, math.pi)
+    out = pf.apply_channel(pf.FixedRotation(X, math.pi), pf.SPIN_UP)
     np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=ATOL)
 
 
@@ -51,24 +56,28 @@ def test_fixed_rotation_matches_direct_conjugation():
         theta = rng.uniform(0, 2 * math.pi)
         u = pf.rotation_unitary(axis, theta)
         np.testing.assert_allclose(
-            pf.apply_fixed_rotation(rho, axis, theta), u @ rho @ u.conj().T, atol=1e-14
+            pf.apply_channel(pf.FixedRotation(axis, theta), rho),
+            u @ rho @ u.conj().T,
+            atol=1e-14,
         )
 
 
 def test_meyer_mixture_analytic():
-    out = pf.apply_meyer_mixture(pf.SPIN_UP, 0.5, FLIP_X)
+    out = pf.apply_channel(pf.MeyerMixture(0.5, FLIP_X), pf.SPIN_UP)
     np.testing.assert_allclose(out, pf.MAXIMALLY_MIXED, atol=ATOL)
     # p is the leave-alone weight
     np.testing.assert_allclose(
-        pf.apply_meyer_mixture(pf.SPIN_UP, 1.0, FLIP_X), pf.SPIN_UP, atol=0
+        pf.apply_channel(pf.MeyerMixture(1.0, FLIP_X), pf.SPIN_UP), pf.SPIN_UP, atol=0
     )
     np.testing.assert_allclose(
-        pf.apply_meyer_mixture(pf.SPIN_UP, 0.0, FLIP_X), np.diag([0.0, 1.0]), atol=ATOL
+        pf.apply_channel(pf.MeyerMixture(0.0, FLIP_X), pf.SPIN_UP),
+        np.diag([0.0, 1.0]),
+        atol=ATOL,
     )
     # commuting flip leaves the state alone
     uz = pf.rotation_unitary(Z, 1.3)
     np.testing.assert_allclose(
-        pf.apply_meyer_mixture(pf.SPIN_UP, 0.5, uz), pf.SPIN_UP, atol=ATOL
+        pf.apply_channel(pf.MeyerMixture(0.5, uz), pf.SPIN_UP), pf.SPIN_UP, atol=ATOL
     )
 
 
@@ -101,14 +110,16 @@ def test_twirl_general_scales_bloch_vector():
     for _ in range(100):
         rho = random_density(rng)
         theta = rng.uniform(0, 2 * math.pi)
-        out = pf.twirl_general(rho, theta)
+        out = pf.apply_channel(pf.RandomAxisRotation(theta), rho)
         np.testing.assert_allclose(
             pf.to_bloch(out), pf.bloch_contraction(theta) * pf.to_bloch(rho), atol=1e-12
         )
     thetas = np.linspace(0.0, math.pi, 25)
     for theta in thetas:
         np.testing.assert_allclose(
-            pf.twirl_general(pf.SPIN_UP, theta), pf.twirl_analytic(theta), atol=ATOL
+            pf.apply_channel(pf.RandomAxisRotation(theta), pf.SPIN_UP),
+            pf.twirl_analytic(theta),
+            atol=ATOL,
         )
 
 
@@ -118,56 +129,67 @@ def test_twirl_general_is_rotation_covariant():
         rho = random_density(rng)
         theta = rng.uniform(0, 2 * math.pi)
         u = random_rotation(rng)
-        left = pf.twirl_general(u @ rho @ u.conj().T, theta)
-        right = u @ pf.twirl_general(rho, theta) @ u.conj().T
+        twirl = pf.RandomAxisRotation(theta)
+        left = pf.apply_channel(twirl, u @ rho @ u.conj().T)
+        right = u @ pf.apply_channel(twirl, rho) @ u.conj().T
         np.testing.assert_allclose(left, right, atol=1e-10)
 
 
 def test_twirl_mc_single_sample_matches_fixed_rotation_bitwise():
     theta = 1.9
     rho = pf.from_bloch([0.1, -0.2, 0.6])
-    est = pf.twirl_mc(rho, theta, samples=1, rng=pf.RngStream(123))
+    twirl = pf.RandomAxisRotation(theta)
+    est = pf.apply_channel(twirl, rho, mode="mc", samples=1, rng=pf.RngStream(123))
     axis = pf.sample_axis(pf.RngStream(123))
-    expected = pf.apply_fixed_rotation(rho, axis, theta)
+    expected = pf.apply_channel(pf.FixedRotation(axis, theta), rho)
     assert np.array_equal(est.mean, expected)
     assert est.std_error == 0.0
     assert est.samples == 1
 
 
 def test_twirl_mc_zero_angle_is_exact():
-    est = pf.twirl_mc(pf.SPIN_UP, 0.0, samples=200, rng=pf.RngStream(1))
+    twirl = pf.RandomAxisRotation(0.0)
+    est = pf.apply_channel(twirl, pf.SPIN_UP, mode="mc", samples=200, rng=pf.RngStream(1))
     assert np.array_equal(est.mean, np.asarray(pf.SPIN_UP))
     assert est.std_error == 0.0
 
 
 def test_twirl_mc_deterministic_replay():
+    twirl = pf.RandomAxisRotation(1.0)
     kwargs = dict(samples=2000, rng=pf.RngStream(5), shards=4)
-    a = pf.twirl_mc(pf.SPIN_UP, 1.0, **kwargs)
-    b = pf.twirl_mc(pf.SPIN_UP, 1.0, samples=2000, rng=pf.RngStream(5), shards=4)
+    a = pf.apply_channel(twirl, pf.SPIN_UP, mode="mc", **kwargs)
+    b = pf.apply_channel(
+        twirl, pf.SPIN_UP, mode="mc", samples=2000, rng=pf.RngStream(5), shards=4
+    )
     assert np.array_equal(a.mean, b.mean)
     assert a.std_error == b.std_error
-    c = pf.twirl_mc(pf.SPIN_UP, 1.0, samples=2000, rng=pf.RngStream(6), shards=4)
+    c = pf.apply_channel(
+        twirl, pf.SPIN_UP, mode="mc", samples=2000, rng=pf.RngStream(6), shards=4
+    )
     assert not np.array_equal(a.mean, c.mean)
-    d = pf.twirl_mc(pf.SPIN_UP, 1.0, samples=2000, rng=pf.RngStream(5), shards=2)
+    d = pf.apply_channel(
+        twirl, pf.SPIN_UP, mode="mc", samples=2000, rng=pf.RngStream(5), shards=2
+    )
     assert not np.array_equal(a.mean, d.mean)
 
 
 def test_twirl_mc_agrees_with_analytic():
     theta = math.pi / 2
-    est = pf.twirl_mc(pf.SPIN_UP, theta, samples=20_000, rng=pf.RngStream(0))
+    twirl = pf.RandomAxisRotation(theta)
+    est = pf.apply_channel(twirl, pf.SPIN_UP, mode="mc", samples=20_000, rng=pf.RngStream(0))
     dev = np.max(np.abs(est.mean - pf.twirl_analytic(theta)))
     assert dev < 4 * est.std_error
 
 
 def test_measure_fixed_axis_landmarks():
     np.testing.assert_allclose(
-        pf.measure_fixed_axis(pf.SPIN_UP, Z), pf.SPIN_UP, atol=ATOL
+        pf.apply_channel(pf.FixedAxisMeasurement(Z), pf.SPIN_UP), pf.SPIN_UP, atol=ATOL
     )
     np.testing.assert_allclose(
-        pf.measure_fixed_axis(pf.SPIN_UP, X), pf.MAXIMALLY_MIXED, atol=ATOL
+        pf.apply_channel(pf.FixedAxisMeasurement(X), pf.SPIN_UP), pf.MAXIMALLY_MIXED, atol=ATOL
     )
     axis = pf.unit_axis([math.sqrt(3) / 2, 0.0, 0.5])
-    out = pf.measure_fixed_axis(pf.SPIN_UP, axis)
+    out = pf.apply_channel(pf.FixedAxisMeasurement(axis), pf.SPIN_UP)
     np.testing.assert_allclose(out, pf.from_bloch(0.5 * axis), atol=ATOL)
     plus, minus = pf.spin_eigenstates(axis)
     assert np.vdot(plus, out @ plus).real == pytest.approx(3 / 4, abs=ATOL)
@@ -182,7 +204,8 @@ def test_measure_fixed_axis_matches_projector_form():
         p_plus = 0.5 * (np.eye(2) + pf.pauli_dot(axis))
         p_minus = 0.5 * (np.eye(2) - pf.pauli_dot(axis))
         expected = p_plus @ rho @ p_plus + p_minus @ rho @ p_minus
-        np.testing.assert_allclose(pf.measure_fixed_axis(rho, axis), expected, atol=1e-12)
+        out = pf.apply_channel(pf.FixedAxisMeasurement(axis), rho)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_measure_fixed_axis_is_idempotent():
@@ -190,48 +213,39 @@ def test_measure_fixed_axis_is_idempotent():
     for _ in range(50):
         rho = random_density(rng)
         axis = random_axis(rng)
-        once = pf.measure_fixed_axis(rho, axis)
-        np.testing.assert_allclose(pf.measure_fixed_axis(once, axis), once, atol=1e-12)
+        measure = pf.FixedAxisMeasurement(axis)
+        once = pf.apply_channel(measure, rho)
+        np.testing.assert_allclose(pf.apply_channel(measure, once), once, atol=1e-12)
 
 
 def test_random_measurement_analytic():
+    measure = pf.RandomBasisMeasurement()
     np.testing.assert_allclose(
-        pf.random_measurement_analytic(pf.SPIN_UP), np.diag([2 / 3, 1 / 3]), atol=ATOL
+        pf.apply_channel(measure, pf.SPIN_UP), np.diag([2 / 3, 1 / 3]), atol=ATOL
     )
     np.testing.assert_allclose(
-        pf.random_measurement_analytic(pf.MAXIMALLY_MIXED), pf.MAXIMALLY_MIXED, atol=0
+        pf.apply_channel(measure, pf.MAXIMALLY_MIXED), pf.MAXIMALLY_MIXED, atol=0
     )
     rng = np.random.default_rng(53)
     for _ in range(50):
         rho = random_density(rng)
-        out = pf.random_measurement_analytic(rho)
+        out = pf.apply_channel(measure, rho)
         np.testing.assert_allclose(pf.to_bloch(out), pf.to_bloch(rho) / 3, atol=1e-12)
 
 
 def test_random_measurement_mc_agrees_with_analytic():
-    est = pf.random_measurement_mc(pf.SPIN_UP, samples=20_000, rng=pf.RngStream(0))
-    dev = np.max(np.abs(est.mean - pf.random_measurement_analytic(pf.SPIN_UP)))
+    measure = pf.RandomBasisMeasurement()
+    est = pf.apply_channel(measure, pf.SPIN_UP, mode="mc", samples=20_000, rng=pf.RngStream(0))
+    dev = np.max(np.abs(est.mean - pf.apply_channel(measure, pf.SPIN_UP)))
     assert dev < 4 * est.std_error
 
 
 def test_random_measurement_mc_fixed_point_has_no_spread():
-    est = pf.random_measurement_mc(pf.MAXIMALLY_MIXED, samples=500, rng=pf.RngStream(2))
+    est = pf.apply_channel(
+        pf.RandomBasisMeasurement(), pf.MAXIMALLY_MIXED, mode="mc", samples=500, rng=pf.RngStream(2)
+    )
     np.testing.assert_allclose(est.mean, pf.MAXIMALLY_MIXED, atol=ATOL)
     assert est.std_error < 1e-12
-
-
-def test_apply_channel_analytic_matches_direct_functions():
-    rho = pf.from_bloch([0.2, 0.3, 0.4])
-    axis = pf.unit_axis([1.0, 2.0, 2.0])
-    cases = [
-        (pf.FixedRotation(axis, 0.8), pf.apply_fixed_rotation(rho, axis, 0.8)),
-        (pf.MeyerMixture(0.3, FLIP_X), pf.apply_meyer_mixture(rho, 0.3, FLIP_X)),
-        (pf.RandomAxisRotation(1.1), pf.twirl_general(rho, 1.1)),
-        (pf.FixedAxisMeasurement(axis), pf.measure_fixed_axis(rho, axis)),
-        (pf.RandomBasisMeasurement(), pf.random_measurement_analytic(rho)),
-    ]
-    for spec, expected in cases:
-        np.testing.assert_allclose(pf.apply_channel(spec, rho), expected, atol=0)
 
 
 def test_apply_channel_two_axis_flip():
@@ -270,7 +284,9 @@ def test_apply_channel_mc_returns_estimate():
     )
     assert isinstance(est, pf.McEstimate)
     assert est.samples == 100
-    twirled = pf.twirl_mc(pf.SPIN_UP, 1.0, samples=100, rng=pf.RngStream(0))
+    twirled = pf.apply_channel(
+        pf.RandomAxisRotation(1.0), pf.SPIN_UP, mode="mc", samples=100, rng=pf.RngStream(0)
+    )
     assert np.array_equal(est.mean, twirled.mean)
     assert est.std_error == twirled.std_error
 
@@ -352,9 +368,12 @@ def test_disruption_never_reduces_entropy():
     for _ in range(100):
         rho = random_density(rng)
         before = pf.entropy(rho)
-        assert pf.entropy(pf.twirl_general(rho, rng.uniform(0, math.pi))) >= before - ATOL
-        assert pf.entropy(pf.measure_fixed_axis(rho, random_axis(rng))) >= before - ATOL
-        assert pf.entropy(pf.random_measurement_analytic(rho)) >= before - ATOL
+        for spec in (
+            pf.RandomAxisRotation(rng.uniform(0, math.pi)),
+            pf.FixedAxisMeasurement(random_axis(rng)),
+            pf.RandomBasisMeasurement(),
+        ):
+            assert pf.entropy(pf.apply_channel(spec, rho)) >= before - ATOL
 
 
 def test_mc_outputs_are_valid_states():

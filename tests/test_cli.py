@@ -18,6 +18,27 @@ GOLDEN_ODDS_CSV = (
     "3,measure along a random axis,0.6666666666666666,2:1\n"
 )
 
+# Reports captured before the CSV became a projection of the JSON results.
+GOLDEN_ITERATE_CSV = (
+    "n,polarized_weight,q_win\n"
+    "1,0.33333333333333326,0.6666666666666666\n"
+    "2,0.11111111111111116,0.5555555555555556\n"
+    "3,0.03703703703703698,0.5185185185185185\n"
+)
+GOLDEN_TWIRL_CSV = (
+    "theta_degrees,purity,entropy,m00_re,m00_im,m01_re,m01_im,m10_re,m10_im,m11_re,m11_im\n"
+    "37.0,0.9999999999999999,2.0777794901414874e-15,0.964042055365588,0.0,"
+    "-0.13926706370852365,-0.12357044880587983,-0.13926706370852365,0.12357044880587983,"
+    "0.03595794463441199,0.0\n"
+)
+GOLDEN_MEASURE_CSV = (
+    "repeat,polarized_weight,unpolarized_weight,"
+    "m00_re,m00_im,m01_re,m01_im,m10_re,m10_im,m11_re,m11_im\n"
+    "2,0.8017837257372731,0.19821627426272692,0.8214285714285714,0.0,"
+    "0.10714285714285714,-0.21428571428571427,0.10714285714285714,0.21428571428571427,"
+    "0.1785714285714286,0.0\n"
+)
+
 
 def run(args, capsys):
     code = cli.main(args)
@@ -52,6 +73,20 @@ def test_odds_table_csv_golden(capsys):
     code, out, err = run(["odds-table", "--format", "csv"], capsys)
     assert code == 0
     assert out == GOLDEN_ODDS_CSV
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["iterate", "--n-max", "3"], GOLDEN_ITERATE_CSV),
+        (["twirl", "--theta", "37", "--axis", "1,2,3"], GOLDEN_TWIRL_CSV),
+        (["measure", "--axis", "1,2,3", "--repeat", "2"], GOLDEN_MEASURE_CSV),
+    ],
+)
+def test_csv_goldens(args, golden, capsys):
+    code, out, err = run(args + ["--format", "csv"], capsys)
+    assert code == 0, err
+    assert out == golden
 
 
 def test_odds_table_mc(capsys):
@@ -111,6 +146,11 @@ def test_angle_scan_defaults(capsys):
     assert doc["config"]["steps"] == 181
 
 
+def test_angle_scan_refines_the_fair_angle_to_seven_decimals(capsys):
+    root = run_json(["angle-scan"], capsys)["results"]["refined_root_degrees"]
+    assert f"{root:.7f}" == "120.0000000"
+
+
 def test_angle_scan_csv(capsys):
     code, out, err = run(["angle-scan", "--format", "csv"], capsys)
     assert code == 0
@@ -141,6 +181,12 @@ def test_iterate_analytic(capsys):
         assert abs(row["polarized_weight"] - 3.0 ** (-n)) <= 1e-12
         assert abs(row["q_win"] - (0.5 + 0.5 * 3.0 ** (-n))) <= 1e-12
         assert "mc_q_win" not in row
+
+
+def test_iterate_sixth_round_polarized_weight(capsys):
+    row = run_json(["iterate", "--n-max", "6"], capsys)["results"]["rows"][5]
+    assert row["n"] == 6
+    assert f"{row['polarized_weight']:.9f}" == "0.001371742"
 
 
 def test_iterate_mc_columns(capsys):
@@ -260,6 +306,18 @@ def test_measure_repeat(capsys):
     results = doc["results"]
     budget = 8 * results["std_error"] + 1e-12
     assert abs(results["polarized_weight"] - 1 / 9) < budget
+
+
+def test_measure_along_huge_and_tiny_axes(capsys):
+    reference = run_json(["measure", "--axis=1,1,0"], capsys)
+    reference.pop("duration_ms")
+    _, reference_csv, _ = run(["measure", "--axis=1,1,0", "--format", "csv"], capsys)
+    for axis in ("1e200,1e200,0", "1e-200,1e-200,0"):
+        doc = run_json(["measure", f"--axis={axis}"], capsys)
+        doc.pop("duration_ms")
+        assert doc == reference
+        code, out, err = run(["measure", f"--axis={axis}", "--format", "csv"], capsys)
+        assert (code, out) == (0, reference_csv), err
 
 
 def test_measure_argument_errors(capsys):

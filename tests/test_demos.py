@@ -10,9 +10,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 LANDMARKS = {
-    "odds_table.py": "rotate or leave as is                    1.000000     1:0",
-    "fairness_angle.py": "Bisected zero of the contraction: 120.0000000",
-    "measurement_decay.py": " 6   0.001371742  0.001371742",
     "twirl_convergence.py": "    1,000,000",
 }
 

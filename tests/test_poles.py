@@ -41,7 +41,7 @@ def test_meyer_mixture_round_is_a_certain_win(axis):
 @pytest.mark.parametrize("axis", POLE_AXES)
 def test_measurement_keeps_the_component_along_the_axis(axis):
     r = np.array([0.6, 0.0, 0.8])
-    out = pf.measure_fixed_axis(pf.from_bloch(r), axis)
+    out = pf.apply_channel(pf.FixedAxisMeasurement(axis), pf.from_bloch(r))
     expected = float(axis @ r) * axis
     assert np.abs(pf.to_bloch(out) - expected).max() <= ATOL
     assert np.abs(out - pf.from_bloch(expected)).max() <= ATOL

@@ -34,6 +34,24 @@ def test_unit_axis():
         pf.unit_axis([1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "v, direction",
+    [
+        ([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+        ([1e-200, -1e-200, 0.0], [1.0, -1.0, 0.0]),
+        ([1e308, -1e308, 1e308], [1.0, -1.0, 1.0]),
+        ([-1e-308, 0.0, 1e-308], [-1.0, 0.0, 1.0]),
+        ([5e-324, 5e-324, 5e-324], [1.0, 1.0, 1.0]),
+        ([0.0, -5e-324, 0.0], [0.0, -1.0, 0.0]),
+        ([1e300, 1e-300, 0.0], [1.0, 0.0, 0.0]),
+    ],
+)
+def test_unit_axis_scales_huge_and_tiny_components(v, direction):
+    n = pf.unit_axis(v)
+    assert abs(float(np.linalg.norm(n)) - 1.0) <= ATOL
+    np.testing.assert_allclose(n, np.asarray(direction) / np.linalg.norm(direction), atol=ATOL)
+
+
 def test_pauli_dot_axes():
     np.testing.assert_allclose(pf.pauli_dot(np.array([0.0, 0.0, 1.0])), pf.PAULI_Z, atol=0)
     np.testing.assert_allclose(pf.pauli_dot(np.array([1.0, 0.0, 0.0])), pf.PAULI_X, atol=0)

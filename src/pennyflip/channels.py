@@ -7,16 +7,22 @@ choices and mixture coins; measurements always apply the full projective
 mixture, outcomes are never sampled) and returns an ``McEstimate``.
 
 Every channel here is unital, so it acts on the Bloch vector r of
-rho = (I + r . sigma) / 2 alone.  Monte Carlo samples are therefore rows of a
-(k, 3) float64 array of Bloch vectors.  A realization rotates each row
-(Rodrigues: U = exp(+i theta sigma.n / 2) turns r by -theta about n, and a
-180-degree flip sends r to 2 (n . r) n - r), projects it to (n . r) n, or,
-on a mixture coin hit, applies F's 3x3 Bloch matrix.  Density matrices
-appear only at the edges: the input state's Bloch vector on entry, the mean's
-2x2 matrix on exit.  The analytic rotations and projections share the same
-two helpers.  std_error is the largest entry-wise standard error over the 8
-real components of the mean matrix, which is max(se_x, se_y, se_z) / 2 over
-the Bloch components.
+rho = (I + r . sigma) / 2 alone, and ``_act`` states each kind's action once.
+Given a generator, it applies one random realization to each row of a (k, 3)
+float64 array of Monte Carlo samples: it rotates the row (Rodrigues:
+U = exp(+i theta sigma.n / 2) turns r by -theta about n, and a 180-degree
+flip sends r to 2 (n . r) n - r), projects it to (n . r) n, or, on a mixture
+coin hit, applies F's 3x3 Bloch matrix R_F.  Without a generator it applies
+the exact mean map of the same law, and that is the analytic path: the
+random-axis kinds scale r by (1 + 2 cos theta) / 3 or 1 / 3, the coin kinds
+average their two outcomes (MeyerMixture: p r + (1 - p) R_F r, with the same
+R_F as Monte Carlo), and the kinds that draw nothing act alike in both
+paths.  Density matrices appear only at the edges: the input state's Bloch
+vector on entry, the output's or the mean's 2x2 matrix on exit.  std_error
+is the largest entry-wise standard error over the 8 real components of the
+mean matrix, which is max(se_x, se_y, se_z) / 2 over the Bloch components.
+A spec that draws nothing has one realization, reported as the mean with
+std_error 0.0.
 
 Draw costs per sample: RandomAxisRotation and RandomBasisMeasurement consume
 2 uniforms (an axis), MeyerMixture and TwoAxisFlip consume 1 (a coin),
@@ -107,8 +113,12 @@ class MeyerMixture:
     def _bloch_f(self) -> np.ndarray:
         # R_F[i, j] = 1/2 Re tr(sigma_i F sigma_j F+): column j is the Bloch
         # vector of F sigma_j F+, read off its (0, 1) and (0, 0) entries.
-        images = self.f @ _PAULI_STACK @ self.f.conj().T
-        return np.stack([images[:, 0, 1].real, -images[:, 0, 1].imag, images[:, 0, 0].real])
+        (a0, b0), (a1, b1), (a2, b2) = (self.f @ _PAULI_STACK @ self.f.conj().T)[:, 0].tolist()
+        return np.array([
+            [b0.real, b1.real, b2.real],
+            [-b0.imag, -b1.imag, -b2.imag],
+            [a0.real, a1.real, a2.real],
+        ])
 
 
 @dataclass(frozen=True)
@@ -207,13 +217,49 @@ def _project(r: np.ndarray, n: np.ndarray) -> np.ndarray:
     return d[..., None] * n
 
 
-# ---------------------------------------------------------------------------
-# analytic paths
-
-
 def bloch_contraction(theta: float) -> float:
     """Bloch-vector scale factor of the random-axis rotation: (1 + 2 cos theta) / 3."""
     return (1.0 + 2.0 * math.cos(theta)) / 3.0
+
+
+def _act(spec: ChannelSpec, r: np.ndarray, gen: np.random.Generator | None = None) -> np.ndarray:
+    """The Bloch action of spec: with a generator, one random realization
+    applied to each row of the (k, 3) array r; without one, the exact mean
+    map applied to r."""
+    if isinstance(spec, FixedRotation):
+        return _rotate(r, spec.axis, spec.theta)
+    if isinstance(spec, FixedAxisMeasurement):
+        return _project(r, spec.axis)
+    if isinstance(spec, MeyerMixture):
+        if gen is None:
+            return spec.p * r + (1.0 - spec.p) * (r @ spec._bloch_f.T)
+        hit = gen.random(r.shape[0]) >= spec.p  # coin: u >= p applies F
+        out = np.array(r)
+        np.copyto(out, out @ spec._bloch_f.T, where=hit[:, None])
+        return out
+    if isinstance(spec, RandomAxisRotation):
+        if gen is None:
+            return bloch_contraction(spec.theta) * r
+        return _rotate(r, sample_axes(gen, r.shape[0]), spec.theta)
+    if isinstance(spec, RandomBasisMeasurement):
+        if gen is None:
+            return r / 3.0
+        return _project(r, sample_axes(gen, r.shape[0]))
+    if isinstance(spec, TwoAxisFlip):
+        if gen is None:
+            return _project(r, spec.axis_a) + _project(r, spec.axis_b) - r
+        pick_b = (gen.random(r.shape[0]) >= 0.5).astype(np.intp)  # coin: u < 1/2 picks axis_a
+        axes = np.stack((spec.axis_a, spec.axis_b)).take(pick_b, axis=0)
+        return 2.0 * _project(r, axes) - r
+    if isinstance(spec, Iterated):
+        for _ in range(spec.n):
+            r = _act(spec.inner, r, gen)
+        return r
+    raise TypeError(f"unknown channel spec: {spec!r}")
+
+
+# ---------------------------------------------------------------------------
+# analytic path
 
 
 def twirl_analytic(theta: float, rho: np.ndarray | None = None) -> np.ndarray:
@@ -240,57 +286,24 @@ def twirl_analytic(theta: float, rho: np.ndarray | None = None) -> np.ndarray:
     )
 
 
-def _analytic(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
-    if isinstance(spec, MeyerMixture):
-        return spec.p * rho + (1.0 - spec.p) * (spec.f @ rho @ spec.f.conj().T)
+def _exact(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
+    """The exact output state.  Each step of an Iterated passes through the
+    2x2 state, as n separate apply_channel calls would."""
     if isinstance(spec, Iterated):
-        out = rho
         for _ in range(spec.n):
-            out = _analytic(spec.inner, out)
-        return out
-    r = to_bloch(rho)
-    if isinstance(spec, FixedRotation):
-        return _bloch_state(_rotate(r, spec.axis, spec.theta))
-    if isinstance(spec, RandomAxisRotation):
-        return _bloch_state(bloch_contraction(spec.theta) * r)
-    if isinstance(spec, FixedAxisMeasurement):
-        return _bloch_state(_project(r, spec.axis))
-    if isinstance(spec, RandomBasisMeasurement):
-        return _bloch_state(r / 3.0)
-    if isinstance(spec, TwoAxisFlip):
-        return _bloch_state(_project(r, spec.axis_a) + _project(r, spec.axis_b) - r)
-    raise TypeError(f"unknown channel spec: {spec!r}")
+            rho = _exact(spec.inner, rho)
+        return rho
+    return _bloch_state(_act(spec, to_bloch(rho)))
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo paths
+# Monte Carlo path
 
 
-def _realize(spec: ChannelSpec, r: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One random realization of the channel applied to each Bloch row of r."""
-    k = r.shape[0]
-    if isinstance(spec, FixedRotation):
-        return _rotate(r, spec.axis, spec.theta)
-    if isinstance(spec, MeyerMixture):
-        hit = gen.random(k) >= spec.p  # coin: u >= p applies F
-        out = np.array(r)
-        np.copyto(out, out @ spec._bloch_f.T, where=hit[:, None])
-        return out
-    if isinstance(spec, RandomAxisRotation):
-        return _rotate(r, sample_axes(gen, k), spec.theta)
-    if isinstance(spec, FixedAxisMeasurement):
-        return _project(r, spec.axis)
-    if isinstance(spec, RandomBasisMeasurement):
-        return _project(r, sample_axes(gen, k))
-    if isinstance(spec, TwoAxisFlip):
-        pick_b = (gen.random(k) >= 0.5).astype(np.intp)  # coin: u < 1/2 picks axis_a
-        axes = np.stack((spec.axis_a, spec.axis_b)).take(pick_b, axis=0)
-        return 2.0 * _project(r, axes) - r
-    if isinstance(spec, Iterated):
-        for _ in range(spec.n):
-            r = _realize(spec.inner, r, gen)
-        return r
-    raise TypeError(f"unknown channel spec: {spec!r}")
+def _draws_nothing(spec: ChannelSpec) -> bool:
+    while isinstance(spec, Iterated):
+        spec = spec.inner
+    return isinstance(spec, (FixedRotation, FixedAxisMeasurement))
 
 
 def _shard_counts(samples: int, shards: int) -> list[int]:
@@ -298,14 +311,14 @@ def _shard_counts(samples: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _estimate(total: np.ndarray, total_sq: np.ndarray, samples: int) -> McEstimate:
-    if samples > 1:
-        var = (total_sq - total * total / samples) / (samples - 1)
+def _estimate(total: np.ndarray, total_sq: np.ndarray, drawn: int, samples: int) -> McEstimate:
+    if drawn > 1:
+        var = (total_sq - total * total / drawn) / (drawn - 1)
         # each matrix entry carries half a Bloch component
-        se = 0.5 * math.sqrt(max(float(var.max()), 0.0) / samples)
+        se = 0.5 * math.sqrt(max(float(var.max()), 0.0) / drawn)
     else:
         se = 0.0  # a single draw carries no spread estimate
-    return McEstimate(mean=_bloch_state(total / samples), std_error=se, samples=samples)
+    return McEstimate(mean=_bloch_state(total / drawn), std_error=se, samples=samples)
 
 
 def _mc_estimates(spec, rho, samples, rng, shards, n_steps: int = 1) -> list[McEstimate]:
@@ -321,19 +334,21 @@ def _mc_estimates(spec, rho, samples, rng, shards, n_steps: int = 1) -> list[McE
     r0 = to_bloch(rho)
     total = np.zeros((n_steps, 3))
     total_sq = np.zeros((n_steps, 3))
-    for i, count in enumerate(_shard_counts(samples, shards)):
+    # a spec that draws nothing has one realization, so one sample is exact
+    counts = [1] if _draws_nothing(spec) else _shard_counts(samples, shards)
+    for i, count in enumerate(counts):
         if count == 0:
             continue
         gen = rng.substream(i).generator
         r = np.broadcast_to(r0, (count, 3))
         for step in range(n_steps):
-            r = _realize(spec, r, gen)
+            r = _act(spec, r, gen)
             # one pairwise sum per component over a contiguous row: faster
             # and more accurate than reducing the (k, 3) array along axis 0
             cols = np.ascontiguousarray(r.T)
             total[step] += cols.sum(axis=1)
             total_sq[step] += np.square(cols).sum(axis=1)
-    return [_estimate(t, t_sq, samples) for t, t_sq in zip(total, total_sq)]
+    return [_estimate(t, t_sq, sum(counts), samples) for t, t_sq in zip(total, total_sq)]
 
 
 def apply_channel(
@@ -347,7 +362,7 @@ def apply_channel(
     """Apply a channel spec: the exact state (analytic) or an McEstimate (mc)."""
     rho = validate_density(rho)
     if mode == "analytic":
-        return _analytic(spec, rho)
+        return _exact(spec, rho)
     if mode == "mc":
         return _mc_estimates(spec, rho, samples, rng, shards)[0]
     raise UnsupportedModeError(f"mode must be 'analytic' or 'mc', got {mode!r}")

@@ -96,7 +96,7 @@ class Report:
 
     def to_json(self) -> str:
         doc = {"config": self.config, "results": self.results, "duration_ms": self.duration_ms}
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -438,10 +438,10 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         report = args.run(config, args)
+        text = report.to_csv() if config.output_format == "csv" else report.to_json()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (BadRangeError, BadAxisError)) else 3
-    text = report.to_csv() if config.output_format == "csv" else report.to_json()
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="utf-8") as handle:

@@ -48,16 +48,6 @@ SPIN_UP = _frozen([[1.0, 0.0], [0.0, 0.0]])
 MAXIMALLY_MIXED = _frozen([[0.5, 0.0], [0.0, 0.5]])
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two 2x2 complex matrices."""
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def _modulus(z: complex) -> float:
     """abs(z), inf where finite parts overflow.  abs is libm's hypot, as in
     numpy's scalar modulus; math.hypot differs in about 1 case in 200."""

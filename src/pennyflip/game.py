@@ -88,17 +88,18 @@ def outcome_from_state(rho: np.ndarray) -> GameOutcome:
 
 def _eigenstate_projector(f: np.ndarray) -> np.ndarray:
     # Rotation axis of a unitary, read off the traceless anti-Hermitian part
-    # of its special-unitary representative.  Anything proportional to the
+    # (m - m+) / 2i of its special-unitary representative m: x + i y is its
+    # (1, 0) entry and z its (0, 0) entry.  Anything proportional to the
     # identity fixes every state, so the +z projector serves.
-    det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-    m = f / cmath.sqrt(det)
-    k = (m - m.conj().T) / 2j
-    vec = np.array([k[1, 0].real, k[1, 0].imag, k[0, 0].real])
-    s = float(np.linalg.norm(vec))
-    if s < EXACT_TOL:
+    (a, b), (c, d) = f.tolist()
+    s = cmath.sqrt(a * d - b * c)
+    a, b, c = a / s, b / s, c / s
+    x, y, z = 0.5 * (c.imag + b.imag), 0.5 * (b.real - c.real), a.imag
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm < EXACT_TOL:
         return np.array(SPIN_UP)
     # (I + sigma.n) / 2 projects on the +1 eigenvector of sigma.n
-    return from_bloch(vec / s)
+    return from_bloch((x / norm, y / norm, z / norm))
 
 
 def initial_state_for(spec: ChannelSpec) -> np.ndarray:
@@ -171,12 +172,9 @@ def iterated_measurement_odds(
     The polarized weight decays by exactly 1/3 per round, so analytically
     q_win = 1/2 + 3**-n / 2.
     """
-    if int(n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    spec = Iterated(RandomBasisMeasurement(), int(n))
-    result = apply_channel(spec, SPIN_UP, mode=mode, samples=samples, rng=rng, shards=shards)
-    post = result.mean if isinstance(result, McEstimate) else result
-    return outcome_from_state(post)
+    spec = Iterated(RandomBasisMeasurement(), n)
+    strategy = PStrategy(f"measure in a random basis {spec.n} times", spec)
+    return play_game(strategy, mode, samples, rng, shards)
 
 
 def default_strategies() -> list[PStrategy]:

@@ -144,8 +144,3 @@ def sample_axes(rng, n: int) -> np.ndarray:
     phi = (2.0 * math.pi) * u[:, 1]
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def sample_axis(rng) -> np.ndarray:
-    """One uniform unit axis; advances the stream by 2 draws."""
-    return sample_axes(rng, 1)[0]

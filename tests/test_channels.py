@@ -140,7 +140,7 @@ def test_twirl_mc_single_sample_matches_fixed_rotation_bitwise():
     rho = pf.from_bloch([0.1, -0.2, 0.6])
     twirl = pf.RandomAxisRotation(theta)
     est = pf.apply_channel(twirl, rho, mode="mc", samples=1, rng=pf.RngStream(123))
-    axis = pf.sample_axis(pf.RngStream(123))
+    axis = pf.sample_axes(pf.RngStream(123), 1)[0]
     expected = pf.apply_channel(pf.FixedRotation(axis, theta), rho)
     assert np.array_equal(est.mean, expected)
     assert est.std_error == 0.0
@@ -292,16 +292,29 @@ def test_apply_channel_mc_returns_estimate():
 
 
 def test_apply_channel_mc_deterministic_specs_have_no_spread():
+    # a spec that draws nothing reports its one realization: the samples=1 mean
     rho = pf.from_bloch([0.1, 0.2, -0.3])
+    rotation = pf.FixedRotation(pf.unit_axis([1.0, -2.0, 0.5]), 0.7)
     for spec in (
         pf.FixedRotation(X, 0.7),
         pf.FixedAxisMeasurement(pf.unit_axis([1.0, 1.0, 1.0])),
+        pf.Iterated(rotation, 3),
     ):
-        est = pf.apply_channel(spec, rho, mode="mc", samples=64, rng=pf.RngStream(0))
-        exact = pf.apply_channel(spec, rho)
-        np.testing.assert_allclose(est.mean, exact, atol=1e-15)
-        # sum-of-squares accumulation leaves ~sqrt(eps) residue on constant data
-        assert est.std_error < 1e-7
+        single = pf.apply_channel(spec, rho, mode="mc", samples=1, rng=pf.RngStream(0))
+        np.testing.assert_allclose(single.mean, pf.apply_channel(spec, rho), atol=1e-15)
+        for shards in (1, 3):
+            est = pf.apply_channel(
+                spec, rho, mode="mc", samples=64, rng=pf.RngStream(5), shards=shards
+            )
+            assert est.mean.tobytes() == single.mean.tobytes()
+            assert (est.std_error, est.samples) == (0.0, 64)
+    curve = pf.iterated_mc_curve(rotation, rho, 4, samples=50, rng=pf.RngStream(2), shards=3)
+    for n, est in enumerate(curve, start=1):
+        single = pf.apply_channel(
+            pf.Iterated(rotation, n), rho, mode="mc", samples=1, rng=pf.RngStream(0)
+        )
+        assert est.mean.tobytes() == single.mean.tobytes()
+        assert est.std_error == 0.0
 
 
 def test_apply_channel_mc_meyer_edge_probabilities():

@@ -344,6 +344,21 @@ def test_output_file_unwritable(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_nan_result_exits_3_and_prints_nothing(tmp_path, capsys, monkeypatch):
+    def nan_outcome(rho):
+        return pf.GameOutcome(math.nan, math.nan, 1.0, np.asarray(rho, dtype=complex))
+
+    monkeypatch.setattr(cli, "outcome_from_state", nan_outcome)
+    code, out, err = run(["odds-table"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    target = tmp_path / "report.json"
+    code, out, err = run(["odds-table", "--output", str(target)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    assert not target.exists()
+
+
 def test_argparse_failures_exit_2():
     for args in (
         ["bogus"],

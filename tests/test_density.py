@@ -13,14 +13,8 @@ ATOL = pf.EXACT_TOL
 
 def test_mat_mul_pauli_product():
     np.testing.assert_allclose(
-        pf.mat_mul(pf.PAULI_X, pf.PAULI_Y), 1j * np.asarray(pf.PAULI_Z), atol=ATOL
+        pf.PAULI_X @ pf.PAULI_Y, 1j * np.asarray(pf.PAULI_Z), atol=ATOL
     )
-
-
-def test_adjoint():
-    m = np.array([[1.0, 2.0 + 3.0j], [4.0j, -5.0]])
-    np.testing.assert_allclose(pf.adjoint(m), m.conj().T, atol=0)
-    np.testing.assert_allclose(pf.adjoint(pf.adjoint(m)), m, atol=0)
 
 
 def test_eigen_pauli_x():

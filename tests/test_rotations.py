@@ -11,9 +11,9 @@ ATOL = pf.EXACT_TOL
 
 def test_pauli_algebra():
     for sigma in (pf.PAULI_X, pf.PAULI_Y, pf.PAULI_Z):
-        np.testing.assert_allclose(pf.mat_mul(sigma, sigma), pf.IDENTITY, atol=0)
-    np.testing.assert_allclose(pf.mat_mul(pf.PAULI_Y, pf.PAULI_Z), 1j * np.asarray(pf.PAULI_X), atol=0)
-    np.testing.assert_allclose(pf.mat_mul(pf.PAULI_Z, pf.PAULI_X), 1j * np.asarray(pf.PAULI_Y), atol=0)
+        np.testing.assert_allclose(sigma @ sigma, pf.IDENTITY, atol=0)
+    np.testing.assert_allclose(pf.PAULI_Y @ pf.PAULI_Z, 1j * np.asarray(pf.PAULI_X), atol=0)
+    np.testing.assert_allclose(pf.PAULI_Z @ pf.PAULI_X, 1j * np.asarray(pf.PAULI_Y), atol=0)
 
 
 def test_constants_are_write_protected():
@@ -182,7 +182,7 @@ def test_sample_axes_shapes_and_norms():
     axes = pf.sample_axes(pf.RngStream(0), 1000)
     assert axes.shape == (1000, 3)
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, atol=1e-12)
-    single = pf.sample_axis(pf.RngStream(0))
+    single = pf.sample_axes(pf.RngStream(0), 1)[0]
     assert single.shape == (3,)
     assert np.array_equal(single, axes[0])
 
@@ -190,7 +190,7 @@ def test_sample_axes_shapes_and_norms():
 def test_sample_axes_batch_matches_scalar_bitwise():
     batch = pf.sample_axes(pf.RngStream(9), 8)
     seq = pf.RngStream(9)
-    rows = np.array([pf.sample_axis(seq) for _ in range(8)])
+    rows = np.array([pf.sample_axes(seq, 1)[0] for _ in range(8)])
     assert np.array_equal(batch, rows)
 
 

@@ -17,7 +17,9 @@ the exact mean map of the same law, and that is the analytic path: the
 random-axis kinds scale r by (1 + 2 cos theta) / 3 or 1 / 3, the coin kinds
 average their two outcomes (MeyerMixture: p r + (1 - p) R_F r, with the same
 R_F as Monte Carlo), and the kinds that draw nothing act alike in both
-paths.  Density matrices appear only at the edges: the input state's Bloch
+paths.  ``bloch_contraction`` is the one statement of the random-axis
+rotation's law; the game layer's angle scan reads its zeros in closed form.
+Density matrices appear only at the edges: the input state's Bloch
 vector on entry, the output's or the mean's 2x2 matrix on exit.  std_error
 is the largest entry-wise standard error over the 8 real components of the
 mean matrix, which is max(se_x, se_y, se_z) / 2 over the Bloch components.
@@ -44,13 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import (
-    EXACT_TOL,
-    SPIN_UP,
-    _bloch_state,
-    to_bloch,
-    validate_density,
-)
+from .density import EXACT_TOL, _bloch_state, to_bloch, validate_density
 from .rotations import _PAULI_STACK, RngStream, sample_axes, unit_axis
 
 DEFAULT_SAMPLES = 100_000
@@ -260,30 +256,6 @@ def _act(spec: ChannelSpec, r: np.ndarray, gen: np.random.Generator | None = Non
 
 # ---------------------------------------------------------------------------
 # analytic path
-
-
-def twirl_analytic(theta: float, rho: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form random-axis rotation of the polarized basis state:
-
-        diag(cos^2(theta/2) + sin^2(theta/2)/3,  (2/3) sin^2(theta/2))
-
-    Only the +z basis state has this diagonal form; pass anything else and a
-    ValueError points you at apply_channel(RandomAxisRotation(theta), rho).
-    A non-finite theta is a ValueError too.
-    """
-    _require_finite_angle(theta)
-    if rho is not None:
-        rho = validate_density(rho)
-        if np.abs(rho - SPIN_UP).max() > EXACT_TOL:
-            raise ValueError(
-                "twirl_analytic is the closed form for the +z basis state; "
-                "use apply_channel(RandomAxisRotation(theta), rho) for arbitrary states"
-            )
-    c2 = math.cos(0.5 * theta) ** 2
-    s2 = math.sin(0.5 * theta) ** 2
-    return np.array(
-        [[c2 + s2 / 3.0, 0.0], [0.0, 2.0 * s2 / 3.0]], dtype=complex
-    )
 
 
 def _exact(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:

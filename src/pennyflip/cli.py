@@ -31,7 +31,6 @@ from .channels import (
     RandomBasisMeasurement,
     apply_channel,
     iterated_mc_curve,
-    twirl_analytic,
 )
 from .density import (
     SPIN_UP,
@@ -86,7 +85,8 @@ class Report:
     The CSV is a projection of results: one line per entry of
     results["rows"], or one for results itself when it has no rows, holding
     the csv_header columns.  A column a row lacks is read from results, and
-    a "state" column spans the eight m00_re ... m11_im cells.
+    a "state" column spans the eight m00_re ... m11_im cells.  Neither format
+    writes a NaN or an infinity: both raise ValueError instead.
     """
 
     config: dict
@@ -113,6 +113,9 @@ class Report:
                     cells += [part for pairs in value for pair in pairs for part in pair]
                 else:
                     cells.append(value)
+            for cell in cells:
+                if isinstance(cell, float) and not math.isfinite(cell):
+                    raise ValueError("non-finite number in a CSV report")
             writer.writerow(cells)
         return out.getvalue()
 
@@ -121,11 +124,6 @@ def matrix_to_pairs(m) -> list:
     """Row-major [[re, im], ...] nesting for a 2x2 complex matrix."""
     m = np.asarray(m, dtype=complex)
     return [[[float(e.real), float(e.imag)] for e in row] for row in m]
-
-
-def pairs_to_matrix(pairs) -> np.ndarray:
-    """Inverse of matrix_to_pairs."""
-    return np.array([[complex(e[0], e[1]) for e in row] for row in pairs], dtype=complex)
 
 
 def parse_axis(text: str):
@@ -285,17 +283,13 @@ def cmd_twirl(config: RunConfig, theta_deg: float, axis=None) -> Report:
     over random axes."""
     theta = math.radians(float(theta_deg))
     t0 = time.perf_counter()
-    axis_doc = None
+    spec, axis_doc = RandomAxisRotation(theta), None
     if axis is not None:
         axis_vec = parse_axis(axis) if isinstance(axis, str) else unit_axis(axis)
         if isinstance(axis_vec, str):
             raise BadAxisError("twirl takes a fixed axis or none; 'random' is the default")
-        axis_doc = [float(c) for c in axis_vec]
-        state, mc_fields = _apply(config, FixedRotation(axis_vec, theta))
-    elif config.mode == "mc":
-        state, mc_fields = _apply(config, RandomAxisRotation(theta))
-    else:
-        state, mc_fields = twirl_analytic(theta), {}  # the closed form's own bits
+        spec, axis_doc = FixedRotation(axis_vec, theta), [float(c) for c in axis_vec]
+    state, mc_fields = _apply(config, spec)
     results = {
         "theta_degrees": float(theta_deg),
         "axis": axis_doc,

@@ -1,14 +1,15 @@
-"""Penny-flip game engine: win odds per disruption strategy, iterated play,
-and fairness angle scans.
+"""Penny-flip game engine: win odds per disruption strategy and fairness
+angle scans.
 
 Q prepares a polarized qubit, P applies a disruption channel without looking,
 and Q's best final move is to predict the channel output's dominant
 eigenvector; Q's win probability is therefore the largest eigenvalue mid + rad
-of the post-channel state, read off its entries.  Starting from the +z basis
-state loses no generality: the random-axis channels are rotation covariant,
-and the strategies that do depend on Q's frame take the frame as an argument.
-The angle scan is closed form in the Bloch contraction c: purity (1 + c^2) / 2
-and distance |c| / 2 to the fully mixed state.
+of the post-channel state, read off its entries.  A round is one
+``play_game`` call on any channel spec, an ``Iterated`` one included.  Q opens
+in the +z basis state, except against the rotate-or-leave mixture, where Q
+opens in an eigenstate of the rotation.  The angle scan is closed form in the
+Bloch contraction c = (1 + 2 cos theta) / 3: purity (1 + c^2) / 2, distance
+|c| / 2 to the fully mixed state, and the zeros of c where cos theta = -1/2.
 """
 
 from __future__ import annotations
@@ -22,17 +23,14 @@ import numpy as np
 from .channels import (
     DEFAULT_SAMPLES,
     ChannelSpec,
-    Iterated,
     McEstimate,
     MeyerMixture,
     RandomAxisRotation,
     RandomBasisMeasurement,
-    TwoAxisFlip,
     apply_channel,
-    bloch_contraction,
 )
 from .density import EXACT_TOL, SPIN_UP, _entries, _mid_rad, from_bloch
-from .rotations import RngStream, rotation_unitary, unit_axis
+from .rotations import RngStream, rotation_unitary
 
 # Largest angle_scan grid: 8 MB per column, a report of ~100 MB via the CLI.
 MAX_SCAN_STEPS = 1_000_000
@@ -132,51 +130,6 @@ def play_game(
     return outcome_from_state(post)
 
 
-def play_case1(f: np.ndarray | None = None, p: float = 0.5) -> GameOutcome:
-    """Round against rotate-or-leave-as-is when Q knows the rotation F.
-
-    Q opens in an F eigenstate, so the mixture leaves the state untouched and
-    Q wins with certainty for every p and every unitary F (identity
-    included).  Defaults to a fair coin over a 180-degree x rotation.
-    """
-    if f is None:
-        f = rotation_unitary(np.array([1.0, 0.0, 0.0]), math.pi)
-    return play_game(PStrategy("rotate or leave as is", MeyerMixture(p, f)))
-
-
-def play_two_axis_flip(
-    axes=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
-    polarization=(0.0, 0.0, 1.0),
-) -> GameOutcome:
-    """Round against a fair 180-degree flip about one of two orthogonal axes.
-
-    With both axes orthogonal to Q's polarization the two flips send the
-    state to the same antipode, P's move is deterministic, and Q still wins
-    with certainty.  Other polarizations genuinely disrupt; aligned with one
-    flip axis the round drops to a coin toss.
-    """
-    spec = TwoAxisFlip(np.asarray(axes[0], dtype=float), np.asarray(axes[1], dtype=float))
-    start = from_bloch(unit_axis(polarization))
-    return outcome_from_state(apply_channel(spec, start))
-
-
-def iterated_measurement_odds(
-    n: int,
-    mode: str = "analytic",
-    samples: int = DEFAULT_SAMPLES,
-    rng: RngStream | None = None,
-    shards: int = 1,
-) -> GameOutcome:
-    """Odds after n successive random-basis measurements of the polarized state.
-
-    The polarized weight decays by exactly 1/3 per round, so analytically
-    q_win = 1/2 + 3**-n / 2.
-    """
-    spec = Iterated(RandomBasisMeasurement(), n)
-    strategy = PStrategy(f"measure in a random basis {spec.n} times", spec)
-    return play_game(strategy, mode, samples, rng, shards)
-
-
 def default_strategies() -> list[PStrategy]:
     """The three disruption strategies scored by the odds table."""
     flip = rotation_unitary(np.array([1.0, 0.0, 0.0]), math.pi)
@@ -190,28 +143,16 @@ def default_strategies() -> list[PStrategy]:
     ]
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
-    f_lo = fn(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def angle_scan(theta_min: float, theta_max: float, steps: int) -> AngleScanResult:
     """Scan the random-axis rotation angle over [theta_min, theta_max] radians.
 
     Reports purity and trace distance to the fully mixed state at each grid
-    angle, the distance argmin (ties break toward the smaller angle), and a
-    root of the Bloch contraction bisected to 1e-9 rad when the contraction
-    changes sign inside the range; refined_root is None otherwise.  A range
-    that is not finite, or a grid over MAX_SCAN_STEPS, is rejected up front.
+    angle, the distance argmin (ties break toward the smaller angle), and
+    refined_root, where the Bloch contraction first vanishes: a grid angle
+    where it is exactly 0.0, or else the closed-form zero (2 pi/3 or
+    4 pi/3 + 2 pi k) that first follows the left end of the first grid step
+    over which it changes sign; None when it does neither.  A range that is
+    not finite, or a grid over MAX_SCAN_STEPS, is rejected up front.
     """
     theta_min = float(theta_min)
     theta_max = float(theta_max)
@@ -235,10 +176,18 @@ def angle_scan(theta_min: float, theta_max: float, steps: int) -> AngleScanResul
     refined = None
     if hits.size:
         i = int(hits[0])
+        lo, hi = float(thetas[i]), float(thetas[i + 1])
         if c[i] == 0.0:
-            refined = float(thetas[i])
+            refined = lo
         else:
-            refined = _bisect(bloch_contraction, float(thetas[i]), float(thetas[i + 1]))
+            # Modulo whole turns, c > 0 on (-1/3, 1/3) of a turn, where it
+            # falls to its zero at 1/3, and c < 0 on (1/3, 2/3), where it
+            # rises to its zero at 2/3.  The sign at lo thus names the first
+            # zero after lo, m thirds of a turn, with a sixth of a turn to
+            # spare in the rounding; the rounded zero is kept in the bracket.
+            turns = lo / (2.0 * math.pi)
+            m = 3 * round(turns) + 1 if c[i] > 0.0 else 3 * round(turns - 0.5) + 2
+            refined = min(max(m * (2.0 * math.pi / 3.0), lo), hi)
     elif c[-1] == 0.0:
         refined = float(thetas[-1])
     return AngleScanResult(thetas, purities, dists, argmin_theta, refined)

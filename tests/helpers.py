@@ -1,4 +1,7 @@
-"""Shared constructors for randomized tests; all take a seeded numpy Generator."""
+"""Shared constructors for randomized tests, which all take a seeded numpy
+Generator, and closed forms the tests compare the library against."""
+
+import math
 
 import numpy as np
 
@@ -27,3 +30,12 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
 def overlap(u: np.ndarray, v: np.ndarray) -> float:
     """|<u|v>| for unit spinors; 1 iff the two lie on the same ray."""
     return abs(np.vdot(u, v))
+
+
+def twirled_spin_up(theta: float) -> np.ndarray:
+    """The +z state rotated by theta about a uniformly random axis, written
+    independently of the library's Bloch contraction:
+    diag(cos^2(theta/2) + sin^2(theta/2)/3, (2/3) sin^2(theta/2))."""
+    c2 = math.cos(0.5 * theta) ** 2
+    s2 = math.sin(0.5 * theta) ** 2
+    return np.diag([c2 + s2 / 3.0, 2.0 * s2 / 3.0]).astype(complex)

@@ -110,23 +110,26 @@ def _bisect(fn, lo, hi, tol=1e-9):
 
 
 def angle_scan(theta_min, theta_max, steps):
-    """(thetas, purities, distances, argmin_theta, refined_root), one
-    eigensolve per grid angle."""
+    """(thetas, purities, distances, argmin_theta, refined_root, bracket), one
+    eigensolve per grid angle.  refined_root is bisected to 1e-9 inside the
+    first grid step over which the contraction changes sign, and bracket is
+    that step's (lo, hi); bracket is None when no step is bisected."""
     thetas = np.linspace(float(theta_min), float(theta_max), int(steps))
     states = [_twirl(t) for t in thetas]
     purities = np.array([float(np.trace(s @ s).real) for s in states])
     dists = np.array([trace_distance(s, MAXIMALLY_MIXED) for s in states])
     argmin_theta = float(thetas[int(np.argmin(dists))])
     contraction = np.array([_contraction(t) for t in thetas])
-    refined = None
+    refined = bracket = None
     for i in range(len(thetas) - 1):
         if contraction[i] == 0.0:
             refined = float(thetas[i])
             break
         if contraction[i] * contraction[i + 1] < 0.0:
-            refined = _bisect(_contraction, float(thetas[i]), float(thetas[i + 1]))
+            bracket = float(thetas[i]), float(thetas[i + 1])
+            refined = _bisect(_contraction, *bracket)
             break
     else:
         if contraction[-1] == 0.0:
             refined = float(thetas[-1])
-    return thetas, purities, dists, argmin_theta, refined
+    return thetas, purities, dists, argmin_theta, refined, bracket

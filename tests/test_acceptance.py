@@ -15,7 +15,7 @@ import pytest
 
 import pennyflip as pf
 from pennyflip import cli
-from helpers import random_axis, random_density, random_unitary
+from helpers import random_axis, random_density, random_unitary, twirled_spin_up
 
 EXACT = 1e-12
 SAMPLES = 100_000
@@ -94,7 +94,7 @@ def test_acceptance_5_twirl_mc():
         theta = math.radians(deg)
         spec = pf.RandomAxisRotation(theta)
         est = pf.apply_channel(spec, pf.SPIN_UP, mode="mc", samples=SAMPLES, rng=pf.RngStream(0))
-        dev = np.max(np.abs(est.mean - pf.twirl_analytic(theta)))
+        dev = np.max(np.abs(est.mean - twirled_spin_up(theta)))
         assert dev <= 4 * est.std_error, f"{deg} deg off by {dev}"
     theta = math.radians(90.0)
     spec = pf.RandomAxisRotation(theta)

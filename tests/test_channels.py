@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import pennyflip as pf
-from helpers import random_axis, random_density, random_rotation
+from pennyflip import channels
+from helpers import random_axis, random_density, random_rotation, twirled_spin_up
 
 ATOL = pf.EXACT_TOL
 X = np.array([1.0, 0.0, 0.0])
@@ -27,7 +28,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         pf.Iterated(pf.RandomBasisMeasurement(), 0)
     with pytest.raises(pf.NotUnitaryError):
-        pf.require_unitary(np.array([[2.0, 0.0], [0.0, 0.5]]))
+        channels.require_unitary(np.array([[2.0, 0.0], [0.0, 0.5]]))
 
 
 def test_spec_axes_are_normalized():
@@ -89,20 +90,15 @@ def test_bloch_contraction_landmarks():
 
 
 def test_twirl_analytic_landmarks():
-    np.testing.assert_allclose(pf.twirl_analytic(0.0), pf.SPIN_UP, atol=ATOL)
-    np.testing.assert_allclose(
-        pf.twirl_analytic(math.pi / 2), np.diag([2 / 3, 1 / 3]), atol=ATOL
-    )
-    np.testing.assert_allclose(
-        pf.twirl_analytic(2 * math.pi / 3), pf.MAXIMALLY_MIXED, atol=ATOL
-    )
-    np.testing.assert_allclose(pf.twirl_analytic(math.pi), np.diag([1 / 3, 2 / 3]), atol=ATOL)
-
-
-def test_twirl_analytic_rejects_other_inputs():
-    pf.twirl_analytic(1.0, rho=pf.SPIN_UP)
-    with pytest.raises(ValueError):
-        pf.twirl_analytic(1.0, rho=pf.MAXIMALLY_MIXED)
+    for theta, expected in (
+        (0.0, pf.SPIN_UP),
+        (math.pi / 2, np.diag([2 / 3, 1 / 3])),
+        (2 * math.pi / 3, pf.MAXIMALLY_MIXED),
+        (math.pi, np.diag([1 / 3, 2 / 3])),
+    ):
+        out = pf.apply_channel(pf.RandomAxisRotation(theta), pf.SPIN_UP)
+        np.testing.assert_allclose(out, expected, atol=ATOL)
+        np.testing.assert_allclose(twirled_spin_up(theta), expected, atol=ATOL)
 
 
 def test_twirl_general_scales_bloch_vector():
@@ -118,7 +114,7 @@ def test_twirl_general_scales_bloch_vector():
     for theta in thetas:
         np.testing.assert_allclose(
             pf.apply_channel(pf.RandomAxisRotation(theta), pf.SPIN_UP),
-            pf.twirl_analytic(theta),
+            twirled_spin_up(theta),
             atol=ATOL,
         )
 
@@ -177,7 +173,7 @@ def test_twirl_mc_agrees_with_analytic():
     theta = math.pi / 2
     twirl = pf.RandomAxisRotation(theta)
     est = pf.apply_channel(twirl, pf.SPIN_UP, mode="mc", samples=20_000, rng=pf.RngStream(0))
-    dev = np.max(np.abs(est.mean - pf.twirl_analytic(theta)))
+    dev = np.max(np.abs(est.mean - twirled_spin_up(theta)))
     assert dev < 4 * est.std_error
 
 

@@ -40,6 +40,11 @@ GOLDEN_MEASURE_CSV = (
 )
 
 
+def _matrix(pairs):
+    """The 2x2 complex matrix of a report's [[re, im], ...] pairs."""
+    return np.array([[complex(re, im) for re, im in row] for row in pairs])
+
+
 def run(args, capsys):
     code = cli.main(args)
     out, err = capsys.readouterr()
@@ -64,7 +69,7 @@ def test_odds_table_json(capsys):
     assert abs(rows[1]["q_win"] - 0.5) <= 1e-12
     assert abs(rows[2]["q_win"] - 2 / 3) <= 1e-12
     assert [r["odds"] for r in rows] == ["1:0", "1:1", "2:1"]
-    state = cli.pairs_to_matrix(rows[2]["post_state"])
+    state = _matrix(rows[2]["post_state"])
     pf.validate_density(state)
     np.testing.assert_allclose(state, np.diag([2 / 3, 1 / 3]), atol=1e-12)
 
@@ -214,7 +219,7 @@ def test_twirl_random_axis_analytic(capsys):
     doc = run_json(["twirl", "--theta", "120"], capsys)
     results = doc["results"]
     assert results["axis"] is None
-    state = cli.pairs_to_matrix(results["state"])
+    state = _matrix(results["state"])
     pf.validate_density(state)
     np.testing.assert_allclose(state, pf.MAXIMALLY_MIXED, atol=1e-12)
     assert abs(results["purity"] - 0.5) <= 1e-12
@@ -225,12 +230,12 @@ def test_twirl_fixed_axis(capsys):
     doc = run_json(["twirl", "--theta", "180", "--axis", "x"], capsys)
     results = doc["results"]
     assert results["axis"] == [1.0, 0.0, 0.0]
-    state = cli.pairs_to_matrix(results["state"])
+    state = _matrix(results["state"])
     np.testing.assert_allclose(state, np.diag([0.0, 1.0]), atol=1e-12)
     assert abs(results["entropy"]) <= 1e-12
     doc = run_json(["twirl", "--theta", "90", "--axis", "0,0,5"], capsys)
     assert doc["results"]["axis"] == [0.0, 0.0, 1.0]
-    state = cli.pairs_to_matrix(doc["results"]["state"])
+    state = _matrix(doc["results"]["state"])
     np.testing.assert_allclose(state, pf.SPIN_UP, atol=1e-12)
 
 
@@ -241,7 +246,7 @@ def test_twirl_mc(capsys):
     results = doc["results"]
     se = results["std_error"]
     assert se > 0
-    state = cli.pairs_to_matrix(results["state"])
+    state = _matrix(results["state"])
     assert np.max(np.abs(state - pf.MAXIMALLY_MIXED)) < 6 * se
 
 
@@ -276,12 +281,12 @@ def test_measure_fixed_axes(capsys):
     results = doc["results"]
     assert results["axis"] == [0.0, 0.0, 1.0]
     np.testing.assert_allclose(
-        cli.pairs_to_matrix(results["state"]), pf.SPIN_UP, atol=1e-12
+        _matrix(results["state"]), pf.SPIN_UP, atol=1e-12
     )
     assert abs(results["polarized_weight"] - 1.0) <= 1e-12
     doc = run_json(["measure", "--axis", "x"], capsys)
     np.testing.assert_allclose(
-        cli.pairs_to_matrix(doc["results"]["state"]), pf.MAXIMALLY_MIXED, atol=1e-12
+        _matrix(doc["results"]["state"]), pf.MAXIMALLY_MIXED, atol=1e-12
     )
     assert abs(doc["results"]["polarized_weight"]) <= 1e-12
 
@@ -291,7 +296,7 @@ def test_measure_random_axis(capsys):
     results = doc["results"]
     assert results["axis"] == "random"
     np.testing.assert_allclose(
-        cli.pairs_to_matrix(results["state"]), np.diag([2 / 3, 1 / 3]), atol=1e-12
+        _matrix(results["state"]), np.diag([2 / 3, 1 / 3]), atol=1e-12
     )
     assert abs(results["polarized_weight"] - 1 / 3) <= 1e-12
     assert abs(results["unpolarized_weight"] - 2 / 3) <= 1e-12
@@ -357,6 +362,31 @@ def test_nan_result_exits_3_and_prints_nothing(tmp_path, capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("error:")
     assert not target.exists()
+
+
+def test_nan_cell_in_csv_exits_3_and_prints_nothing(tmp_path, capsys, monkeypatch):
+    def nan_outcome(rho):
+        return pf.GameOutcome(math.nan, 1.0, 1.0, np.asarray(rho, dtype=complex))
+
+    monkeypatch.setattr(cli, "outcome_from_state", nan_outcome)
+    code, out, err = run(["odds-table", "--format", "csv"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    target = tmp_path / "report.csv"
+    code, out, err = run(["odds-table", "--format", "csv", "--output", str(target)], capsys)
+    assert (code, out) == (3, "")
+    assert not target.exists()
+
+
+def test_axis_with_a_leading_minus_takes_the_equals_form(capsys):
+    doc = run_json(["measure", "--axis=-1,0,0"], capsys)
+    assert doc["results"]["axis"] == [-1.0, 0.0, 0.0]
+    assert doc["config"]["axis"] == [-1.0, 0.0, 0.0]
+    doc = run_json(["twirl", "--theta", "90", "--axis=-1,0,0"], capsys)
+    assert doc["results"]["axis"] == [-1.0, 0.0, 0.0]
+    # 90 degrees about -x turns +z to -y
+    state = _matrix(doc["results"]["state"])
+    np.testing.assert_allclose(state, pf.from_bloch([0.0, -1.0, 0.0]), atol=1e-12)
 
 
 def test_argparse_failures_exit_2():

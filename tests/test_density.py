@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pennyflip as pf
+from pennyflip import rotations
 from helpers import overlap, random_density, random_rotation
 
 ATOL = pf.EXACT_TOL
@@ -13,12 +14,12 @@ ATOL = pf.EXACT_TOL
 
 def test_mat_mul_pauli_product():
     np.testing.assert_allclose(
-        pf.PAULI_X @ pf.PAULI_Y, 1j * np.asarray(pf.PAULI_Z), atol=ATOL
+        rotations.PAULI_X @ rotations.PAULI_Y, 1j * np.asarray(rotations.PAULI_Z), atol=ATOL
     )
 
 
 def test_eigen_pauli_x():
-    w, v = pf.eigen_hermitian(pf.PAULI_X)
+    w, v = pf.eigen_hermitian(rotations.PAULI_X)
     np.testing.assert_allclose(w, [1.0, -1.0], atol=ATOL)
     assert overlap(v[:, 0], np.array([1.0, 1.0]) / math.sqrt(2)) == pytest.approx(1.0, abs=ATOL)
     assert overlap(v[:, 1], np.array([1.0, -1.0]) / math.sqrt(2)) == pytest.approx(1.0, abs=ATOL)

@@ -8,6 +8,7 @@ from helpers import random_unitary
 
 ATOL = pf.EXACT_TOL
 THIRD_TURN = 2.0 * math.pi / 3.0
+X = np.array([1.0, 0.0, 0.0])
 
 
 def test_outcome_from_state_landmarks():
@@ -54,8 +55,13 @@ def test_initial_state_against_known_rotation():
     )
 
 
+def _case1(p, f):
+    """The paper's case 1: P rotates by F with probability 1 - p, else leaves the state."""
+    return pf.PStrategy("rotate or leave as is", pf.MeyerMixture(p, f))
+
+
 def test_play_case1_default_is_certain_win():
-    out = pf.play_case1()
+    out = pf.play_game(_case1(0.5, pf.rotation_unitary(X, math.pi)))
     assert out.q_win_probability == pytest.approx(1.0, abs=ATOL)
     assert out.odds_string == "1:0"
 
@@ -64,20 +70,20 @@ def test_play_case1_wins_for_any_rotation_and_weight():
     rng = np.random.default_rng(71)
     for _ in range(50):
         f = random_unitary(rng)
-        out = pf.play_case1(f, p=float(rng.random()))
+        out = pf.play_game(_case1(float(rng.random()), f))
         assert out.q_win_probability == pytest.approx(1.0, abs=ATOL)
         assert out.odds_string == "1:0"
 
 
 def test_play_case1_identity_like_rotations():
     for f in (np.eye(2), np.exp(0.37j) * np.eye(2), -np.eye(2)):
-        out = pf.play_case1(np.asarray(f, dtype=complex))
+        out = pf.play_game(_case1(0.5, np.asarray(f, dtype=complex)))
         assert out.q_win_probability == pytest.approx(1.0, abs=ATOL)
 
 
 def test_play_case1_rejects_non_unitary():
     with pytest.raises(pf.NotUnitaryError):
-        pf.play_case1(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        pf.MeyerMixture(0.5, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_default_strategy_odds():
@@ -101,32 +107,36 @@ def test_play_game_mc_tracks_analytic():
 
 
 def test_two_axis_flip_round():
-    out = pf.play_two_axis_flip()
+    flip = pf.TwoAxisFlip(X, [0.0, 1.0, 0.0])
+    out = pf.outcome_from_state(pf.apply_channel(flip, pf.SPIN_UP))
     assert out.q_win_probability == pytest.approx(1.0, abs=ATOL)
     assert out.odds_string == "1:0"
     np.testing.assert_allclose(out.post_channel_state, np.diag([0.0, 1.0]), atol=ATOL)
     # polarization along one flip axis drops the round to a coin toss
-    out = pf.play_two_axis_flip(polarization=(1.0, 0.0, 0.0))
+    out = pf.outcome_from_state(pf.apply_channel(flip, pf.from_bloch(X)))
     assert out.q_win_probability == pytest.approx(0.5, abs=ATOL)
     assert out.odds_string == "1:1"
     with pytest.raises(pf.InvalidAxesError):
-        pf.play_two_axis_flip(axes=((1.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
-    with pytest.raises(ValueError):
-        pf.play_two_axis_flip(polarization=(0.0, 0.0, 0.0))
+        pf.TwoAxisFlip(X, [1.0, 1.0, 0.0])
+
+
+def _measured(n):
+    spec = pf.Iterated(pf.RandomBasisMeasurement(), n)
+    return pf.PStrategy(f"measure in a random basis {n} times", spec)
 
 
 def test_iterated_measurement_odds_decay():
     for n in range(1, 7):
-        out = pf.iterated_measurement_odds(n)
+        out = pf.play_game(_measured(n))
         expected = 0.5 + 0.5 * 3.0 ** (-n)
         assert out.q_win_probability == pytest.approx(expected, abs=ATOL)
-    assert pf.iterated_measurement_odds(1).odds_string == "2:1"
+    assert pf.play_game(_measured(1)).odds_string == "2:1"
     with pytest.raises(ValueError):
-        pf.iterated_measurement_odds(0)
+        _measured(0)
 
 
 def test_iterated_measurement_odds_mc():
-    out = pf.iterated_measurement_odds(2, mode="mc", samples=20_000, rng=pf.RngStream(0))
+    out = pf.play_game(_measured(2), mode="mc", samples=20_000, rng=pf.RngStream(0))
     assert out.q_win_probability == pytest.approx(0.5 + 0.5 / 9.0, abs=0.01)
 
 
@@ -145,6 +155,15 @@ def test_angle_scan_finds_erasing_angle():
     assert scan.purities[0] == pytest.approx(1.0, abs=ATOL)
     assert scan.purities[-1] == pytest.approx(5 / 9, abs=ATOL)
     assert scan.trace_distances[0] == pytest.approx(0.5, abs=ATOL)
+
+
+def test_angle_scan_takes_the_first_zero_of_a_coarse_step():
+    # one step over more than a turn holds three zeros: -120, 120 and 240
+    # degrees; the scan reports the first of them
+    scan = pf.angle_scan(-2.1, 6.3, 2)
+    assert scan.refined_root == -THIRD_TURN
+    # where the contraction starts negative, its first zero is a rising one
+    assert pf.angle_scan(2.5, 6.0, 3).refined_root == 2.0 * THIRD_TURN
 
 
 def test_angle_scan_without_sign_change():

@@ -52,8 +52,6 @@ def test_rotation_specs_and_twirl_reject_non_finite_angles(bad):
         pf.FixedRotation(Z, bad)
     with pytest.raises(ValueError, match="theta must be finite"):
         pf.RandomAxisRotation(bad)
-    with pytest.raises(ValueError, match="theta must be finite"):
-        pf.twirl_analytic(bad)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -318,7 +316,7 @@ CAPS = (cli.MAX_SAMPLES, cli.MAX_ITERATIONS, game.MAX_SCAN_STEPS)
 EDGE_COUNTS = ["0", "-1", "2.5", "1e308", "nan", "inf", "ten", ""]
 EDGE_COUNTS += [str(cap + d) for cap in CAPS for d in (-1, 1)]
 EDGE_ANGLES = ["1e308", "-1e308", "1e-308", "nan", "inf", "-inf", "x", ""]
-EDGE_AXES = ["0,0,0", "1,2", "a,b,c", "nan,0,1", "inf,0,0", "1e309,0,0", ""]
+EDGE_AXES = ["0,0,0", "1,2", "a,b,c", "nan,0,1", "inf,0,0", "1e309,0,0", "", "-1,0,0"]
 AXES = ["x", "z", "1,2,3", "1e200,1e200,0", "-1e-200,1e-200,0", "1e308,-1e308,1e308"]
 AXES += ["5e-324,0,0", "1e300,1e-300,0"]
 # flag -> (values a run may accept, values at or past an edge)

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 import pennyflip as pf
+from pennyflip import rotations
 from helpers import overlap, random_axis
 
 ATOL = pf.EXACT_TOL
 
 
 def test_pauli_algebra():
-    for sigma in (pf.PAULI_X, pf.PAULI_Y, pf.PAULI_Z):
-        np.testing.assert_allclose(sigma @ sigma, pf.IDENTITY, atol=0)
-    np.testing.assert_allclose(pf.PAULI_Y @ pf.PAULI_Z, 1j * np.asarray(pf.PAULI_X), atol=0)
-    np.testing.assert_allclose(pf.PAULI_Z @ pf.PAULI_X, 1j * np.asarray(pf.PAULI_Y), atol=0)
+    for sigma in (rotations.PAULI_X, rotations.PAULI_Y, rotations.PAULI_Z):
+        np.testing.assert_allclose(sigma @ sigma, rotations.IDENTITY, atol=0)
+    np.testing.assert_allclose(rotations.PAULI_Y @ rotations.PAULI_Z, 1j * np.asarray(rotations.PAULI_X), atol=0)
+    np.testing.assert_allclose(rotations.PAULI_Z @ rotations.PAULI_X, 1j * np.asarray(rotations.PAULI_Y), atol=0)
 
 
 def test_constants_are_write_protected():
     with pytest.raises(ValueError):
-        pf.PAULI_X[0, 0] = 5.0
+        rotations.PAULI_X[0, 0] = 5.0
 
 
 def test_unit_axis():
@@ -53,12 +54,12 @@ def test_unit_axis_scales_huge_and_tiny_components(v, direction):
 
 
 def test_pauli_dot_axes():
-    np.testing.assert_allclose(pf.pauli_dot(np.array([0.0, 0.0, 1.0])), pf.PAULI_Z, atol=0)
-    np.testing.assert_allclose(pf.pauli_dot(np.array([1.0, 0.0, 0.0])), pf.PAULI_X, atol=0)
+    np.testing.assert_allclose(pf.pauli_dot(np.array([0.0, 0.0, 1.0])), rotations.PAULI_Z, atol=0)
+    np.testing.assert_allclose(pf.pauli_dot(np.array([1.0, 0.0, 0.0])), rotations.PAULI_X, atol=0)
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     stacked = pf.pauli_dot(axes)
     assert stacked.shape == (2, 2, 2)
-    np.testing.assert_allclose(stacked[1], pf.PAULI_Y, atol=0)
+    np.testing.assert_allclose(stacked[1], rotations.PAULI_Y, atol=0)
 
 
 def test_rotation_about_z_is_diagonal_phase():
@@ -70,7 +71,7 @@ def test_rotation_about_z_is_diagonal_phase():
 
 def test_rotation_x_pi_is_i_sigma_x():
     u = pf.rotation_unitary(np.array([1.0, 0.0, 0.0]), math.pi)
-    np.testing.assert_allclose(u, 1j * np.asarray(pf.PAULI_X), atol=ATOL)
+    np.testing.assert_allclose(u, 1j * np.asarray(rotations.PAULI_X), atol=ATOL)
 
 
 def test_full_turn_keeps_global_phase():

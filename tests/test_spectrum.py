@@ -197,12 +197,21 @@ def test_shape_errors_match():
 
 def _assert_scan_matches(lo, hi, steps):
     scan = pf.angle_scan(lo, hi, steps)
-    thetas, purities, dists, argmin_theta, refined = ref.angle_scan(lo, hi, steps)
+    thetas, purities, dists, argmin_theta, refined, bracket = ref.angle_scan(lo, hi, steps)
     np.testing.assert_array_equal(scan.thetas, thetas)
     assert np.abs(scan.purities - purities).max() <= TOL
     assert np.abs(scan.trace_distances - dists).max() <= TOL
     assert scan.argmin_theta == argmin_theta
-    assert scan.refined_root == refined
+    if bracket is None:
+        # no root, or a grid angle where the contraction is exactly 0.0
+        assert scan.refined_root == refined
+        return
+    # the closed-form zero: in the bisected step, at the bisected root, and
+    # exact up to the rounding of the angle itself
+    root = scan.refined_root
+    assert bracket[0] <= root <= bracket[1]
+    assert abs(root - refined) <= 1e-9
+    assert abs(1.0 + 2.0 * math.cos(root)) <= 2.0 * math.ulp(root)
 
 
 def test_angle_scan_matches_on_the_default_grid():
